@@ -551,9 +551,7 @@ void Node::OnMergeOutcomeApplied(const raft::ConfMergeOutcome& oc,
     exchange_store_[{plan.tx, sealed_source}] = sealed;
     // Durable before the transition resets the log: after the reset the
     // sealed blob is the *only* copy of this node's pre-merge data.
-    if (storage_ != nullptr) {
-      storage_->PersistSealed(plan.tx, sealed_source, sealed);
-    }
+    storage_.PersistSealed(plan.tx, sealed_source, sealed);
   }
   // Answer anyone who asked before we sealed.
   auto waiters = exchange_waiters_.find({plan.tx, sealed_source});
@@ -940,7 +938,7 @@ void Node::MaybeFinishExchange() {
   // InstallSnapshot — which carries the store — rather than replaying a
   // data-less log.
   snapshot_ = BuildSnapshot();
-  if (storage_ != nullptr) storage_->InstallSnapshot(snapshot_);
+  storage_.InstallSnapshot(snapshot_);
   log_.CompactTo(snapshot_->last_index, snapshot_->last_term);
   counters_.Add(cid_.log_compactions);
   // Only now — with the assembled store durable in the snapshot — may the
@@ -1023,10 +1021,8 @@ void Node::MaybePruneExchange(TxId tx) {
     w = exchange_waiters_.erase(w);
   }
   exchange_gc_.erase(it);
-  if (storage_ != nullptr) {
-    storage_->PruneSealed(tx);
-    PersistExchangeMetaNow();
-  }
+  storage_.PruneSealed(tx);
+  PersistExchangeMetaNow();
   counters_.Add(cid_.merge_exchange_pruned);
 }
 

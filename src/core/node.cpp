@@ -73,8 +73,8 @@ void Node::InternCounters() {
   cid_.repl_truncations = counters_.Intern("repl.truncations");
 }
 
-Node::Node(NodeId id, Options opts, raft::ConfigState genesis, Rng rng,
-           SendFn send, storage::Storage* storage)
+Node::Node(NodeId id, Options opts, storage::Storage& storage, Rng rng,
+           SendFn send, raft::ConfigState genesis)
     : id_(id),
       opts_(opts),
       send_(std::move(send)),
@@ -83,14 +83,38 @@ Node::Node(NodeId id, Options opts, raft::ConfigState genesis, Rng rng,
   assert(opts_.machine_factory &&
          "Options::machine_factory must be set (the harness installs the KV "
          "machine by default)");
-  machine_ = opts_.machine_factory(genesis.range);
   InternCounters();
-  if (storage_ != nullptr) {
-    storage_->SetDurableCallback([this]() { OnStorageDurable(); });
-    // Attached before the genesis append so the bootstrap entry is durable.
-    log_.Attach(storage_);
+  storage_.SetDurableCallback([this]() { OnStorageDurable(); });
+  // The one boot decision: a durable (or unreadable) image wins over
+  // `genesis`; only blank storage takes it.
+  auto loaded = storage_.Load();
+  if (!loaded.ok()) {
+    // Unrecoverable medium: boot as an amnesiac spare. Votes and terms are
+    // flushed synchronously, so even this cannot double-vote; peers restore
+    // the node through the §V paths (pull, InstallSnapshot).
+    RLOG_ERROR("boot", "n%u: storage load failed: %s", id_,
+               loaded.status().ToString().c_str());
+    counters_.Add(cid_.node_boot);
+    counters_.Add(cid_.node_boot_amnesia);
+    BootGenesis({});
+  } else if (!loaded->present) {
+    BootGenesis(std::move(genesis));
+  } else {
+    BootFromStorage(std::move(*loaded));  // recovery.cpp
   }
+  ResetElectionTimer();
+  // Stagger initial timeouts so the first election converges quickly.
+  ticks_since_heard_ = static_cast<int>(rng_.Uniform(
+      0, static_cast<uint64_t>(opts_.election_timeout_min_ticks)));
+  MaybePersistHard();
+}
+
+void Node::BootGenesis(raft::ConfigState genesis) {
   bool bootstrap = !genesis.members.empty();
+  if (!bootstrap) genesis.range = KeyRange::Empty();  // a spare owns no keys
+  machine_ = opts_.machine_factory(genesis.range);
+  // Attached before the genesis append so the bootstrap entry is durable.
+  log_.Attach(&storage_);
   raft::ConfInit init;
   init.members = genesis.members;
   init.range = genesis.range;
@@ -108,45 +132,19 @@ Node::Node(NodeId id, Options opts, raft::ConfigState genesis, Rng rng,
     commit_ = 1;
     applied_ = 1;
   }
-  ResetElectionTimer();
-  // Stagger initial timeouts so the first election converges quickly.
-  ticks_since_heard_ = static_cast<int>(rng_.Uniform(
-      0, static_cast<uint64_t>(opts_.election_timeout_min_ticks)));
-  MaybePersistHard();
-}
-
-Node::Node(NodeId id, Options opts, storage::Storage* storage, Rng rng,
-           SendFn send)
-    : id_(id),
-      opts_(opts),
-      send_(std::move(send)),
-      rng_(rng),
-      storage_(storage) {
-  assert(opts_.machine_factory && "Options::machine_factory must be set");
-  machine_ = opts_.machine_factory(KeyRange::Empty());
-  InternCounters();
-  assert(storage_ != nullptr && "boot-from-storage needs a backend");
-  storage_->SetDurableCallback([this]() { OnStorageDurable(); });
-  BootFromStorage();  // recovery.cpp; attaches the log sink itself
-  ResetElectionTimer();
-  ticks_since_heard_ = static_cast<int>(rng_.Uniform(
-      0, static_cast<uint64_t>(opts_.election_timeout_min_ticks)));
-  MaybePersistHard();
 }
 
 void Node::MaybePersistHard() {
-  if (storage_ == nullptr) return;
   storage::HardState hs{term_, voted_for_, commit_};
   if (hs == persisted_hard_) return;
   persisted_hard_ = hs;
-  storage_->PersistHardState(hs);
+  storage_.PersistHardState(hs);
 }
 
 void Node::DropPendingAcks() { pending_acks_.clear(); }
 
 void Node::OnStorageDurable() {
-  if (storage_ == nullptr) return;
-  const Index durable = storage_->DurableIndex();
+  const Index durable = storage_.DurableIndex();
   while (!pending_acks_.empty()) {
     PendingAck& pa = pending_acks_.front();
     if (pa.reply.match > durable) break;
@@ -779,10 +777,8 @@ void Node::Reinit(const raft::ConfigState& genesis, sm::SnapshotPtr data) {
   // Wipe the durable medium first: the node sheds its previous identity
   // entirely (the TC terminate step), then re-persists the new genesis
   // through the normal log/hard-state paths below.
-  if (storage_ != nullptr) {
-    storage_->WipeAll();
-    persisted_hard_ = storage::HardState{};
-  }
+  storage_.WipeAll();
+  persisted_hard_ = storage::HardState{};
   term_ = 0;
   voted_for_ = kNoNode;
   log_.Reset(0, 0);

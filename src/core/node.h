@@ -109,19 +109,18 @@ class Node {
   /// routing every send through the event queue.
   using SendFn = std::function<void(NodeId to, raft::MessagePtr msg)>;
 
-  /// `genesis` must list the initial members (including `id` unless the node
-  /// starts as a learner-to-be-added) with a valid range and uid. `storage`
-  /// (optional, non-owning, must outlive the node) receives every durable
-  /// mutation from the start — including the genesis entry.
-  Node(NodeId id, Options opts, raft::ConfigState genesis, Rng rng,
-       SendFn send, storage::Storage* storage = nullptr);
-
-  /// Boot purely from durable state: replays `storage`'s WAL/snapshot into
-  /// a fresh node (hard state, log, KV store, configuration, merge-exchange
-  /// runtime) with no access to any previous incarnation's memory. The
-  /// harness's CrashNode/RestartNode pair is built on this.
-  Node(NodeId id, Options opts, storage::Storage* storage, Rng rng,
-       SendFn send);
+  /// The one way a node boots. `storage` (non-owning, must outlive the
+  /// node) is Load()ed first, and exactly one of three things happens:
+  ///  * a durable image is present: the node is rebuilt purely from it
+  ///    (hard state, log, KV store, configuration, merge-exchange runtime)
+  ///    and `genesis` is ignored — a restart;
+  ///  * the image is unreadable: the node boots as an amnesiac spare;
+  ///  * the storage is blank: `genesis` is written through it. Non-empty
+  ///    members (including `id` unless the node starts as a learner-to-be-
+  ///    added, with a valid range and uid) bootstrap a cluster; empty
+  ///    members make a spare that idles until a membership change adds it.
+  Node(NodeId id, Options opts, storage::Storage& storage, Rng rng,
+       SendFn send, raft::ConfigState genesis = {});
 
   // --- simulator driver -------------------------------------------------
   void Tick();
@@ -168,7 +167,6 @@ class Node {
   /// Aborted merges this coordinator-source member still tracks for
   /// retransmission (cleared by the replicated ConfAbortSettled marker).
   size_t unsettled_abort_count() const { return unsettled_aborts_.size(); }
-  storage::Storage* storage() { return storage_; }
   bool IsRetired() const { return !config().IsMember(id_); }
   const std::vector<raft::ReconfigRecord>& history() const { return history_; }
   CounterSet& counters() { return counters_; }
@@ -208,10 +206,12 @@ class Node {
   /// Drop durability-gated acks whose log positions were invalidated
   /// (truncation, snapshot install, log reset).
   void DropPendingAcks();
-  /// Rebuild the node from storage_->Load(): install the snapshot, replay
+  /// Blank storage: persist `genesis` (empty members = a spare).
+  void BootGenesis(raft::ConfigState genesis);
+  /// Rebuild the node from a loaded image: install the snapshot, replay
   /// the log into the config tracker, re-seed the merge-exchange runtime,
   /// then apply committed entries to rebuild the KV store (recovery.cpp).
-  void BootFromStorage();
+  void BootFromStorage(storage::BootImage img);
   /// Serialize the current exchange_/exchange_gc_ state to storage.
   void PersistExchangeMetaNow();
   bool CanCampaign() const;
@@ -403,10 +403,9 @@ class Node {
   const Options opts_;
   SendFn send_;
   Rng rng_;
-  /// Pluggable persistence backend (may be null: purely volatile node, the
-  /// pre-storage behavior). Non-owning; the harness keeps the durable
+  /// Pluggable persistence backend. Non-owning; the host keeps the durable
   /// medium alive across node incarnations.
-  storage::Storage* storage_ = nullptr;
+  storage::Storage& storage_;
   storage::HardState persisted_hard_;
 
   // Persistent (survives crash/restart).

@@ -186,7 +186,7 @@ void Node::InstallSnapshotState(const raft::RaftSnapshot& snap, EpochTerm et) {
   // Blob before log reset: a crash in between leaves the old log plus a
   // newer snapshot — recovery prefers whichever the WAL marker survived
   // with; both states are consistent.
-  if (storage_ != nullptr) storage_->InstallSnapshot(snapshot_);
+  storage_.InstallSnapshot(snapshot_);
   if (snap.state) (void)machine_->Restore(*snap.state);
   log_.Reset(snap.last_index, snap.last_term);
   DropPendingAcks();
@@ -228,34 +228,16 @@ void Node::InstallSnapshotState(const raft::RaftSnapshot& snap, EpochTerm et) {
 
 // ---------------------------------------------------------------------------
 // Boot from storage: reconstruct a node purely from its durable image —
-// no volatile state from any previous incarnation survives. Used by the
-// harness's CrashNode/RestartNode pair and exercised by the crash-recovery
-// chaos suites.
+// no volatile state from any previous incarnation survives. Every node
+// constructed over a non-blank medium boots here (World::RestartNode, a
+// restarted recraftd); exercised by the crash-recovery chaos suites.
 
-void Node::BootFromStorage() {
+void Node::BootFromStorage(storage::BootImage img) {
   counters_.Add(cid_.node_boot);
+  machine_ = opts_.machine_factory(KeyRange::Empty());
   raft::ConfigState blank;
   blank.range = KeyRange::Empty();
-
-  auto loaded = storage_->Load();
-  if (!loaded.ok()) {
-    // Unrecoverable medium: boot as an amnesiac spare. Votes and terms are
-    // flushed synchronously, so even this cannot double-vote; peers restore
-    // the node through the §V paths (pull, InstallSnapshot).
-    RLOG_ERROR("boot", "n%u: storage load failed: %s", id_,
-               loaded.status().ToString().c_str());
-    counters_.Add(cid_.node_boot_amnesia);
-    config_.Init(std::move(blank));
-    log_.Attach(storage_);
-    return;
-  }
-  storage::BootImage img = std::move(*loaded);
   config_.Init(std::move(blank));
-  if (!img.present) {
-    // Blank disk: a spare that never held state.
-    log_.Attach(storage_);
-    return;
-  }
 
   term_ = img.hard.term;
   voted_for_ = img.hard.voted_for;
@@ -339,7 +321,7 @@ void Node::BootFromStorage() {
 
   // The cache now mirrors durable state: attach the sink so new mutations
   // persist (replayed state must not be echoed back).
-  log_.Attach(storage_);
+  log_.Attach(&storage_);
 
   // Resume a pending snapshot exchange *before* applying: the store lacks
   // other sources' data, so the deferred-apply guard must hold. Only when
@@ -361,7 +343,6 @@ void Node::BootFromStorage() {
 }
 
 void Node::PersistExchangeMetaNow() {
-  if (storage_ == nullptr) return;
   storage::ExchangeMeta meta;
   if (exchange_.has_value()) meta.pending_plan = exchange_->plan;
   for (const auto& [tx, gc] : exchange_gc_) {
@@ -373,7 +354,7 @@ void Node::PersistExchangeMetaNow() {
     img.self_done = gc.self_done;
     meta.gc.push_back(std::move(img));
   }
-  storage_->PersistExchangeMeta(meta);
+  storage_.PersistExchangeMeta(meta);
 }
 
 void Node::HandleNamingLookupReply(const raft::NamingLookupReply& m) {

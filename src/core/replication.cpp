@@ -211,11 +211,9 @@ void Node::HandleAppendEntries(NodeId from, const raft::AppendEntries& m) {
   reply.match = last_new;
   // Durability gate: the ack must not claim `match` before every entry at
   // or below it is durable — the leader counts this ack toward commit, and
-  // a committed entry must survive any crash of a full quorum. With no
-  // storage (or a synchronous backend) the gate is already satisfied.
-  const Index durable =
-      storage_ == nullptr ? last_new
-                          : std::min(log_.last_index(), storage_->DurableIndex());
+  // a committed entry must survive any crash of a full quorum. With a
+  // synchronous backend the gate is already satisfied.
+  const Index durable = std::min(log_.last_index(), storage_.DurableIndex());
   if (last_new <= durable) {
     Send(from, std::move(reply));
   } else {
@@ -323,10 +321,9 @@ void Node::AdvanceCommit() {
   Index last = log_.last_index();
   // The leader's own vote counts only up to its durable horizon: counting
   // an unflushed entry toward commit would let a crash erase a committed
-  // entry from the only quorum that held it. Without storage (or with a
-  // synchronous backend) this is simply last_index().
-  const Index self_match =
-      storage_ == nullptr ? last : std::min(last, storage_->DurableIndex());
+  // entry from the only quorum that held it. With a synchronous backend
+  // this is simply last_index().
+  const Index self_match = std::min(last, storage_.DurableIndex());
   Index new_commit = commit_;
   for (Index i = commit_ + 1; i <= last; ++i) {
     auto q = raft::CommitQuorum(cfg, i, id_);
@@ -389,7 +386,7 @@ void Node::MaybeCompact() {
   // Snapshot first, then truncate: a crash between the two leaves a longer
   // log plus a snapshot it subsumes — recoverable either way. The opposite
   // order could lose the compacted prefix.
-  if (storage_ != nullptr) storage_->InstallSnapshot(snapshot_);
+  storage_.InstallSnapshot(snapshot_);
   log_.CompactTo(snapshot_->last_index, snapshot_->last_term);
   counters_.Add(cid_.log_compactions);
 }

@@ -296,28 +296,19 @@ void CrashWaveNemesis::Inflict(World& world, Rng& rng) {
   auto order = Shuffled(up, rng);
   size_t n = rng.Uniform(1, cap - down);
   n = std::min(n, order.size());
-  bool hard = world.options().storage != StorageMode::kNone;
   for (size_t i = 0; i < n; ++i) {
-    NodeId id = order[i];
-    if (hard) {
-      storage::CrashSpec spec;
-      spec.point = static_cast<storage::CrashPoint>(rng.Uniform(
-          0, 2));  // kLosePending | kTornTail | kPartialBatch
-      if (world.CrashNode(id, spec).ok()) downed_hard_.push_back(id);
-    } else {
-      world.Crash(id);
-      downed_soft_.push_back(id);
-    }
+    storage::CrashSpec spec;
+    spec.point = static_cast<storage::CrashPoint>(
+        rng.Uniform(0, 2));  // kLosePending | kTornTail | kPartialBatch
+    if (world.CrashNode(order[i], spec).ok()) downed_.push_back(order[i]);
   }
 }
 
 void CrashWaveNemesis::Heal(World& world) {
-  for (NodeId id : downed_hard_) {
+  for (NodeId id : downed_) {
     if (world.IsDown(id)) (void)world.RestartNode(id);
   }
-  downed_hard_.clear();
-  for (NodeId id : downed_soft_) world.Restart(id);
-  downed_soft_.clear();
+  downed_.clear();
 }
 
 // --- hot-key migration ------------------------------------------------------

@@ -208,8 +208,7 @@ class ChurnStormNemesis final : public Nemesis {
 
 /// Rolling crash wave: hard-crashes (CrashNode, with a drawn in-flight
 /// write-mangling CrashSpec) up to a minority of members per phase, and
-/// restarts them on heal. Falls back to soft Crash/Restart when the world
-/// has no storage mode.
+/// restarts them on heal.
 class CrashWaveNemesis final : public Nemesis {
  public:
   CrashWaveNemesis() : Nemesis("crash-wave") {}
@@ -218,8 +217,7 @@ class CrashWaveNemesis final : public Nemesis {
   void Inflict(World& world, Rng& rng) override;
   void Heal(World& world) override;
 
-  std::vector<NodeId> downed_hard_;
-  std::vector<NodeId> downed_soft_;
+  std::vector<NodeId> downed_;
 };
 
 /// Zipfian hot-key migration: rotates the client fleet's key ranks by a

@@ -195,6 +195,7 @@ SweepResult RunSweep(const SweepOptions& opts, uint64_t first_seed,
   }
   for (const auto& verdict : result.verdicts) {
     if (!verdict.ok()) ++result.failures;
+    result.digest = Mix64(result.digest, verdict.digest);
   }
   return result;
 }

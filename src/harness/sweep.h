@@ -77,6 +77,9 @@ WorldVerdict RunSweepWorld(const SweepOptions& opts, uint64_t seed);
 struct SweepResult {
   std::vector<WorldVerdict> verdicts;  // indexed by seed order
   size_t failures = 0;
+  /// Every world's digest folded in seed order: two builds whose sweeps
+  /// print the same value ran schedule-identical worlds.
+  uint64_t digest = 0;
 };
 
 /// Run seeds [first_seed, first_seed + count) across `threads` workers.

@@ -73,32 +73,34 @@ World::World(WorldOptions opts)
 
 World::~World() = default;
 
-storage::Storage* World::MakeStorage(NodeId id, bool fresh_instance) {
-  switch (opts_.storage) {
-    case StorageMode::kNone:
-      return nullptr;
-    case StorageMode::kInMemory:
-      // The object *is* the durable medium: one instance for the whole run.
-      if (storages_.count(id) == 0) {
-        storages_[id] = std::make_unique<storage::InMemoryStorage>();
-      }
-      return storages_[id].get();
-    case StorageMode::kWal: {
-      if (disks_.count(id) == 0) {
-        disks_[id] = std::make_shared<storage::SimDisk>(opts_.disk);
-      }
-      if (fresh_instance || storages_.count(id) == 0) {
-        auto wal = std::make_unique<storage::WalStorage>(disks_[id], &clock_,
-                                                         opts_.wal);
-        if (opts_.recorder != nullptr) {
-          wal->SetRecorder(opts_.recorder, id);
-        }
-        storages_[id] = std::move(wal);
-      }
-      return storages_[id].get();
-    }
+storage::Storage& World::MakeStorage(NodeId id) {
+  auto& backend = storages_[id];
+  if (backend != nullptr) return *backend;  // InMemoryStorage survives crashes
+  if (opts_.storage == StorageMode::kInMemory) {
+    // The object *is* the durable medium: one instance for the whole run.
+    backend = std::make_unique<storage::InMemoryStorage>();
+    return *backend;
   }
-  return nullptr;
+  // A WAL reboot gets a fresh instance (CrashNode dropped the old one), so
+  // recovery genuinely reparses the disk bytes.
+  auto& disk = disks_[id];
+  if (disk == nullptr) disk = std::make_shared<storage::SimDisk>(opts_.disk);
+  auto wal = std::make_unique<storage::WalStorage>(disk, &clock_, opts_.wal);
+  if (opts_.recorder != nullptr) wal->SetRecorder(opts_.recorder, id);
+  backend = std::move(wal);
+  return *backend;
+}
+
+void World::StartNode(NodeId id, Rng rng, raft::ConfigState genesis) {
+  core::Options node_opts = opts_.node;
+  if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
+  auto send = [this, id](NodeId to, raft::MessagePtr msg) {
+    transport_.Send(id, to, msg);
+  };
+  nodes_[id] = std::make_unique<core::Node>(
+      id, node_opts, MakeStorage(id), rng, std::move(send), std::move(genesis));
+  RegisterNodeHandler(id);
+  ScheduleTick(id);
 }
 
 void World::RegisterNodeHandler(NodeId id) {
@@ -121,39 +123,17 @@ std::vector<NodeId> World::CreateCluster(size_t n, KeyRange range) {
   genesis.uid = Mix64(opts_.seed, members.front());
 
   for (NodeId id : members) {
-    core::Options node_opts = opts_.node;
-    if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
-    auto send = [this, id](NodeId to, raft::MessagePtr msg) {
-      transport_.Send(id, to, msg);
-    };
-    nodes_[id] = std::make_unique<core::Node>(
-        id, node_opts, genesis, Rng(Mix64(opts_.seed, 0xabc0 + id)),
-        std::move(send), MakeStorage(id, /*fresh_instance=*/false));
-    RegisterNodeHandler(id);
-    ScheduleTick(id);
+    StartNode(id, Rng(Mix64(opts_.seed, 0xabc0 + id)), genesis);
   }
   return members;
 }
 
 NodeId World::CreateSpareNode() {
   NodeId id = next_node_id_++;
-  // A spare starts as a non-member with an empty configuration: it idles
-  // (cannot campaign) until a membership change adds it and the leader
-  // catches it up via appends or a snapshot.
-  raft::ConfigState genesis;
-  genesis.members = {};       // retired until added
-  genesis.range = KeyRange::Empty();
-  genesis.uid = 0;
-  core::Options node_opts = opts_.node;
-  if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
-  auto send = [this, id](NodeId to, raft::MessagePtr msg) {
-    transport_.Send(id, to, msg);
-  };
-  nodes_[id] = std::make_unique<core::Node>(
-      id, node_opts, genesis, Rng(Mix64(opts_.seed, 0xabc0 + id)),
-      std::move(send), MakeStorage(id, /*fresh_instance=*/false));
-  RegisterNodeHandler(id);
-  ScheduleTick(id);
+  // A spare starts as a non-member with an empty configuration (no
+  // genesis): it idles (cannot campaign) until a membership change adds it
+  // and the leader catches it up via appends or a snapshot.
+  StartNode(id, Rng(Mix64(opts_.seed, 0xabc0 + id)));
   return id;
 }
 
@@ -284,9 +264,6 @@ storage::SimDisk* World::NodeDisk(NodeId id) {
 }
 
 Status World::CrashNode(NodeId id, const storage::CrashSpec& spec) {
-  if (opts_.storage == StorageMode::kNone) {
-    return Rejected("CrashNode needs a storage mode (WorldOptions::storage)");
-  }
   if (!HasNode(id)) return NotFound("no node " + std::to_string(id));
   net_.Crash(id);
   node(id).OnCrash();
@@ -294,36 +271,21 @@ Status World::CrashNode(NodeId id, const storage::CrashSpec& spec) {
   // Mangle the in-flight (unacknowledged) writes per the crash spec, then
   // destroy every byte of volatile state. In WAL mode the storage instance
   // dies too: recovery must reparse the disk, not reuse a live model.
-  if (auto it = storages_.find(id); it != storages_.end()) {
-    it->second->Crash(spec);
-    if (opts_.storage == StorageMode::kWal) storages_.erase(it);
-  }
+  storages_.at(id)->Crash(spec);
+  if (opts_.storage == StorageMode::kWal) storages_.erase(id);
   nodes_.erase(id);
   return OkStatus();
 }
 
 Status World::RestartNode(NodeId id) {
-  if (opts_.storage == StorageMode::kNone) {
-    return Rejected("RestartNode needs a storage mode");
-  }
   if (HasNode(id)) return Rejected("node is up; use Restart for soft faults");
   bool known = storages_.count(id) > 0 || disks_.count(id) > 0;
   if (!known) return NotFound("node " + std::to_string(id) + " never existed");
   net_.Restart(id);
-  core::Options node_opts = opts_.node;
-  if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
-  auto send = [this, id](NodeId to, raft::MessagePtr msg) {
-    transport_.Send(id, to, msg);
-  };
   // A fresh deterministic RNG stream per incarnation: same seed would replay
   // the same election jitter, different incarnations must not correlate.
   uint64_t gen = ++node_gen_[id];
-  nodes_[id] = std::make_unique<core::Node>(
-      id, node_opts, MakeStorage(id, /*fresh_instance=*/true),
-      Rng(Mix64(opts_.seed, 0xb007'0000ull + id + (gen << 16))),
-      std::move(send));
-  RegisterNodeHandler(id);
-  ScheduleTick(id);
+  StartNode(id, Rng(Mix64(opts_.seed, 0xb007'0000ull + id + (gen << 16))));
   return OkStatus();
 }
 

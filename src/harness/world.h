@@ -31,11 +31,11 @@ inline constexpr NodeId kNamingServiceId = 900;
 inline constexpr NodeId kAdminId = 901;
 inline constexpr NodeId kFirstClientId = 1000;
 
-/// What backs each node's durable state.
+/// What backs each node's durable state. Every node has a backend: both
+/// modes persist through the same calls recraftd's WAL sees.
 enum class StorageMode {
-  kNone = 0,   // purely volatile nodes (the historical behavior)
-  kInMemory,   // InMemoryStorage: boot-from-storage without byte modeling
-  kWal,        // WalStorage over a per-node SimDisk (crash injection works)
+  kInMemory = 0,  // InMemoryStorage: boot-from-storage without byte modeling
+  kWal,           // WalStorage over a per-node SimDisk (crash injection works)
 };
 
 struct WorldOptions {
@@ -45,7 +45,7 @@ struct WorldOptions {
                        // node.machine_factory is unset the World installs
                        // kv::KvMachineFactory (the default workload)
   bool with_naming_service = true;
-  StorageMode storage = StorageMode::kNone;
+  StorageMode storage = StorageMode::kInMemory;
   storage::WalStorage::Options wal;      // kWal only
   storage::SimDisk::Options disk;        // kWal only
   /// Arm the flight recorder (obs/trace.h): the World binds it to the sim
@@ -127,15 +127,17 @@ class World {
 
   /// Hard crash: destroy the node object entirely — every byte of volatile
   /// state is gone — applying `spec` to its not-yet-durable writes (torn
-  /// tail, partial batch, ...). Requires a storage mode. The durable medium
-  /// (SimDisk / InMemoryStorage) survives for RestartNode.
+  /// tail, partial batch, ...). The durable medium (SimDisk /
+  /// InMemoryStorage) survives for RestartNode; byte-level crash points
+  /// need kWal (InMemoryStorage loses nothing).
   Status CrashNode(NodeId id, const storage::CrashSpec& spec = {});
   /// Rebuild a CrashNode'd node purely from its durable medium (WAL replay,
   /// snapshot load, merge-exchange resumption) and rejoin it to the world.
   Status RestartNode(NodeId id);
   /// True when the node was taken down by CrashNode and not yet restarted.
   bool IsDown(NodeId id) const { return nodes_.count(id) == 0; }
-  /// The node's storage backend (null in kNone mode or while down).
+  /// The node's storage backend (null for an unknown id, or while a kWal
+  /// node is down).
   storage::Storage* NodeStorage(NodeId id);
   /// The node's durable medium (null outside kWal mode). Survives CrashNode,
   /// so nemeses can keep a latency spike or fsync stall armed across a
@@ -229,9 +231,13 @@ class World {
  private:
   void ScheduleTick(NodeId id);
   void TickNode(NodeId id, uint64_t gen);
-  /// Create (or re-create, for WAL reboots) the storage backend for `id`.
-  /// Returns null in kNone mode.
-  storage::Storage* MakeStorage(NodeId id, bool fresh_instance);
+  /// The live storage backend for `id`, created on first use and again
+  /// after a kWal CrashNode (which drops the WAL instance).
+  storage::Storage& MakeStorage(NodeId id);
+  /// The one node construction site: build `id` over its storage, bind its
+  /// handler and start its tick chain. The node itself decides between
+  /// writing `genesis` (blank medium) and recovering (see core::Node).
+  void StartNode(NodeId id, Rng rng, raft::ConfigState genesis = {});
   void RegisterNodeHandler(NodeId id);
   Result<raft::ClientReply> CallLeader(const std::vector<NodeId>& members,
                                        raft::ClientBody body,
@@ -251,7 +257,7 @@ class World {
   // Durable media outlive node objects: disks (kWal) persist for the whole
   // run; storages_ holds the live backend per node (replaced on WAL reboot
   // so recovery genuinely reparses disk bytes). Declared before nodes_ so
-  // nodes (which hold raw Storage pointers) are destroyed first.
+  // nodes (which hold Storage references) are destroyed first.
   std::map<NodeId, std::shared_ptr<storage::SimDisk>> disks_;
   std::map<NodeId, storage::StoragePtr> storages_;
   std::map<NodeId, std::unique_ptr<core::Node>> nodes_;

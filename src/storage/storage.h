@@ -2,11 +2,13 @@
 // node must be able to rebuild after losing all volatile state — hard state
 // (term / vote / commit), the log, the compaction snapshot, the sealed
 // merge-exchange snapshots, and the exchange runtime metadata — flows
-// through this interface. Two backends:
+// through this interface. Every node has a backend (core::Node holds a
+// Storage&); two implementations:
 //
 //   * InMemoryStorage — the "durable medium" is the object itself. No
-//     serialization, no latency; used to exercise the boot-from-storage
-//     path (World::CrashNode / RestartNode) without byte-level modeling.
+//     serialization, no latency; the default for simulated worlds, and the
+//     backend behind World::CrashNode / RestartNode without byte-level
+//     modeling.
 //   * WalStorage      — group-committed, write-batched records over a
 //     deterministic SimDisk, with CRC-framed replay and injectable crash
 //     points (wal_storage.h).

@@ -32,8 +32,9 @@ struct NodeHarness {
     genesis.range = KeyRange::Full();
     genesis.uid = 99;
     node = std::make_unique<Node>(
-        id, opts, genesis, Rng(7),
-        [this](NodeId to, raft::MessagePtr m) { outbox.push_back({to, m}); });
+        id, opts, storage, Rng(7),
+        [this](NodeId to, raft::MessagePtr m) { outbox.push_back({to, m}); },
+        genesis);
   }
 
   /// Tick until the node starts an election (it will, eventually).
@@ -53,6 +54,7 @@ struct NodeHarness {
   }
   void Clear() { outbox.clear(); }
 
+  storage::InMemoryStorage storage;
   std::unique_ptr<Node> node;
   std::vector<Captured> outbox;
 };
@@ -330,10 +332,12 @@ TEST(NodeUnit, RetiredNodeNeverCampaigns) {
   std::vector<Captured> outbox;
   Options opts;
   opts.machine_factory = kv::KvMachineFactory();
-  Node node(7, opts, genesis, Rng(3),
+  storage::InMemoryStorage storage;
+  Node node(7, opts, storage, Rng(3),
             [&outbox](NodeId to, raft::MessagePtr m) {
               outbox.push_back({to, m});
-            });
+            },
+            genesis);
   for (int i = 0; i < 200; ++i) node.Tick();
   EXPECT_EQ(node.role(), Role::kFollower);
   EXPECT_TRUE(node.IsRetired());

@@ -1,7 +1,8 @@
 // Pull-based recovery and long-term failure handling (§III-B, §V): PULL vote
 // responses, epoch-boundary capping, snapshot fallbacks, reconfiguration
 // history and the naming-service path — plus hard-reboot variants where the
-// node object is destroyed and rebuilt purely from its WAL (storage mode).
+// node object is destroyed and rebuilt purely from its WAL, and the one boot
+// decision of core::Node (a present image beats the genesis argument).
 #include "storage/wal_storage.h"
 #include "tests/test_util.h"
 
@@ -236,6 +237,43 @@ TEST(Recovery, HardRebootAcrossSplitEpochBoundary) {
         harness::KvStoreOf(w.node(sleeper)).Get("g1-" + std::to_string(i)).ok());
   }
   EXPECT_TRUE(checker.ok()) << checker.Report();
+}
+
+TEST(Recovery, PresentImageWinsOverGenesisArgument) {
+  // core::Node boots one way: storage that already holds an image is a
+  // restart, so a different genesis argument must be ignored and the
+  // persisted configuration, term and commit index recovered.
+  core::Options opts;
+  opts.machine_factory = kv::KvMachineFactory();
+  auto drop = [](NodeId, raft::MessagePtr) {};
+  raft::ConfigState genesis;
+  genesis.members = {1};
+  genesis.range = KeyRange::Full();
+  genesis.uid = 99;
+  storage::InMemoryStorage disk;
+  uint64_t term = 0;
+  Index commit = 0;
+  {
+    core::Node first(1, opts, disk, Rng(7), drop, genesis);
+    for (int i = 0; i < 100 && !first.IsLeader(); ++i) first.Tick();
+    ASSERT_TRUE(first.IsLeader());  // single-node quorum
+    term = first.current_et().raw();
+    commit = first.commit_index();
+    ASSERT_GT(term, 0u);
+    ASSERT_GT(commit, 1u);  // the leader's no-op is committed on top
+  }
+  raft::ConfigState other;
+  other.members = {5, 6, 7};
+  other.range = KeyRange("a", "b");
+  other.uid = 1234;
+  core::Node reborn(1, opts, disk, Rng(8), drop, other);
+  EXPECT_EQ(reborn.config().members, std::vector<NodeId>{1});
+  EXPECT_EQ(reborn.config().range, KeyRange::Full());
+  EXPECT_EQ(reborn.cluster_uid(), 99u);
+  EXPECT_EQ(reborn.current_et().raw(), term);
+  EXPECT_EQ(reborn.commit_index(), commit);
+  EXPECT_FALSE(reborn.IsLeader());
+  EXPECT_EQ(reborn.counters().Get("node.boot"), 1u);
 }
 
 TEST(Recovery, CrashedLeaderRejoinsAsFollower) {

@@ -39,6 +39,7 @@ TEST(Sweep, SingleVsMultiThreadDigestsIdentical) {
     EXPECT_EQ(s.client_ops, p.client_ops) << "seed " << s.seed;
     EXPECT_EQ(s.violations, p.violations) << "seed " << s.seed;
   }
+  EXPECT_EQ(serial.digest, parallel.digest);
   EXPECT_EQ(serial.failures, 0u);
   EXPECT_EQ(parallel.failures, 0u);
 }

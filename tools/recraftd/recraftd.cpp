@@ -28,6 +28,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -116,7 +117,9 @@ int main(int argc, char** argv) {
     };
     if (a == "--id") {
       const char* v = next();
-      if (v == nullptr || !ParseU64(v, &id64)) return Usage(argv[0]);
+      if (v == nullptr || !ParseU64(v, &id64) || id64 > 0xffffffffull) {
+        return Usage(argv[0]);
+      }
       have_id = true;
     } else if (a == "--hosts") {
       const char* v = next();
@@ -160,31 +163,32 @@ int main(int argc, char** argv) {
   }
 
   net::SystemClock clock;
-  MetricRegistry metrics;
-  net::UdpTransport transport(id, *book, &clock, &metrics);
-  if (!transport.status().ok()) {
-    std::fprintf(stderr, "recraftd: %s\n",
-                 transport.status().message().c_str());
-    return 1;
-  }
-
   auto disk = std::make_shared<storage::FileDisk>(data_dir);
   storage::WalStorage storage(disk, &clock);
 
-  // A durable image in --data decides restart vs genesis before the node
-  // constructor re-Loads it (Load is idempotent: its only mutation is the
-  // torn-tail cut, which recovery would make anyway).
+  // The probe only backs the daemon's two refusals; the node constructor
+  // re-Loads and makes the restart-vs-genesis decision itself (Load is
+  // idempotent: its only mutation is the torn-tail cut, which recovery
+  // would make anyway).
   auto probe = storage.Load();
   if (!probe.ok()) {
     std::fprintf(stderr, "recraftd: unreadable WAL in %s: %s\n",
                  data_dir.c_str(), probe.status().message().c_str());
     return 1;
   }
-  bool restart = probe->present;
+  const bool restart = probe->present;
   if (!restart && cluster.empty()) {
     std::fprintf(stderr,
                  "recraftd: blank --data and no --cluster: nothing to boot\n");
     return Usage(argv[0]);
+  }
+
+  MetricRegistry metrics;
+  net::UdpTransport transport(id, *book, &clock, &metrics);
+  if (!transport.status().ok()) {
+    std::fprintf(stderr, "recraftd: %s\n",
+                 transport.status().message().c_str());
+    return 1;
   }
 
   core::Options opts;
@@ -199,34 +203,28 @@ int main(int argc, char** argv) {
   // restart); the transport session token is already boot-unique.
   Rng rng(Mix64(Mix64(seed, transport.session()), id));
 
-  std::unique_ptr<core::Node> node;
-  if (restart) {
-    node = std::make_unique<core::Node>(id, opts, &storage, std::move(rng),
-                                        send);
-    RLOG_INFO("recraftd", "n%u recovered from %s: uid=%llu commit=%llu", id,
-              data_dir.c_str(),
-              static_cast<unsigned long long>(node->cluster_uid()),
-              static_cast<unsigned long long>(node->commit_index()));
-  } else {
-    raft::ConfigState genesis;
+  // Ignored by a restart: the durable image wins.
+  raft::ConfigState genesis;
+  if (!cluster.empty()) {
     genesis.members = cluster;
     genesis.range = KeyRange::Full();
     genesis.uid = Mix64(seed, cluster.front());
-    node = std::make_unique<core::Node>(id, opts, genesis, std::move(rng),
-                                        send, &storage);
-    RLOG_INFO("recraftd", "n%u genesis: %zu members uid=%llu", id,
-              cluster.size(),
-              static_cast<unsigned long long>(genesis.uid));
   }
+  core::Node node(id, opts, storage, std::move(rng), send, std::move(genesis));
+  RLOG_INFO("recraftd", "n%u %s %s: %zu members uid=%llu commit=%llu", id,
+            restart ? "recovered from" : "genesis in", data_dir.c_str(),
+            node.config().members.size(),
+            static_cast<unsigned long long>(node.cluster_uid()),
+            static_cast<unsigned long long>(node.commit_index()));
 
   transport.Bind(id, [&node](NodeId from, const raft::Message& m,
                              obs::TraceCtx ctx) {
-    node->Receive(from, m, ctx);
+    node.Receive(from, m, ctx);
   });
 
   // Self-rearming tick, the real-time analogue of World::ScheduleTick.
   std::function<void()> tick = [&]() {
-    node->Tick();
+    node.Tick();
     clock.CallAfter(opts.tick_interval, tick);
   };
   clock.CallAfter(opts.tick_interval, tick);

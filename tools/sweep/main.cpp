@@ -208,8 +208,9 @@ int main(int argc, char** argv) {
     }
   }
   if (stats) PrintStats(opts, result.verdicts);
-  std::printf("sweep: %zu/%llu worlds passed, %zu failed\n",
+  std::printf("sweep: %zu/%llu worlds passed, %zu failed, digest=%016llx\n",
               result.verdicts.size() - result.failures,
-              static_cast<unsigned long long>(count), result.failures);
+              static_cast<unsigned long long>(count), result.failures,
+              static_cast<unsigned long long>(result.digest));
   return result.failures == 0 ? 0 : 1;
 }
