@@ -74,7 +74,7 @@ void BM_SnapshotSerialize(benchmark::State& state) {
     benchmark::DoNotOptimize(bytes);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(snap->SerializedBytes()));
+                          static_cast<int64_t>(snap->Serialize().size()));
 }
 BENCHMARK(BM_SnapshotSerialize)->Arg(100)->Arg(1000)->Arg(10000);
 

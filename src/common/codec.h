@@ -1,6 +1,8 @@
-// Simple binary encoder/decoder used to serialize snapshots and to account
-// for on-wire sizes. Little-endian, length-prefixed strings, varint-free for
-// simplicity (fixed-width integers).
+// Simple binary encoder/decoder used to serialize snapshots, WAL records and
+// wire messages. Little-endian, length-prefixed strings, varint-free for
+// simplicity (fixed-width integers). A counting Encoder runs the same Put
+// sequence without writing, so every encode function is also the exact
+// length calculator for its own output.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +16,21 @@ namespace recraft {
 
 class Encoder {
  public:
-  void PutU8(uint8_t v) { buf_.push_back(v); }
+  /// A size-only encoder: Puts advance size() but store nothing (buffer()
+  /// stays empty), so measuring an encoding costs no allocation or copy.
+  static Encoder Counting() {
+    Encoder enc;
+    enc.counting_ = true;
+    return enc;
+  }
+
+  void PutU8(uint8_t v) {
+    if (counting_) {
+      ++counted_;
+    } else {
+      buf_.push_back(v);
+    }
+  }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
@@ -30,14 +46,20 @@ class Encoder {
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
+  size_t size() const { return counting_ ? counted_ : buf_.size(); }
 
  private:
   void PutRaw(const void* p, size_t n) {
+    if (counting_) {
+      counted_ += n;
+      return;
+    }
     const auto* b = static_cast<const uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }
   std::vector<uint8_t> buf_;
+  bool counting_ = false;
+  size_t counted_ = 0;
 };
 
 class Decoder {

@@ -33,16 +33,6 @@ const std::string& SnapshotData::at(const std::string& key) const {
   return it->second;
 }
 
-size_t Snapshot::SerializedBytes() const {
-  if (serialized_bytes_memo_ != 0) return serialized_bytes_memo_;
-  size_t n = 64;  // header: range, counts
-  n += range.lo().size() + range.hi().size();
-  for (const auto& [k, v] : data) n += 8 + k.size() + v.size();
-  n += sessions.size() * 48;
-  serialized_bytes_memo_ = n;  // n >= 64, so 0 stays a safe "unset" sentinel
-  return n;
-}
-
 std::vector<uint8_t> Snapshot::Serialize() const {
   Encoder enc;
   enc.PutString(range.lo());

@@ -41,17 +41,6 @@ struct Command {
   uint32_t scan_limit = 0; // scans only: max entries (0 = service default)
   uint64_t client_id = 0;  // 0 = no session (no dedup)
   uint64_t seq = 0;        // per-client sequence number
-
-  size_t WireBytes() const {
-    switch (op) {
-      case OpType::kCas:
-        return 32 + key.size() + value.size() + expected.size();
-      case OpType::kScan:
-        return 32 + key.size() + scan_hi.size();
-      default:
-        return 24 + key.size() + value.size();
-    }
-  }
 };
 
 struct OpResult {
@@ -86,24 +75,16 @@ class SnapshotData : public std::vector<std::pair<std::string, std::string>> {
   const std::string& at(const std::string& key) const;
 };
 
-/// An immutable point-in-time state of a store. Shared by pointer: snapshot
-/// "transfer" in the simulator moves the pointer while the network charges
-/// for the serialized byte size. Treated as frozen once shared (SnapshotPtr
-/// is pointer-to-const): SerializedBytes memoizes on first call.
+/// An immutable point-in-time state of a store. Shared by pointer; the
+/// consensus layer carries it as Serialize()'s bytes inside an sm::Snapshot
+/// (KvMachine::Wrap), and the network charges that encoding's length.
 struct Snapshot {
   KeyRange range;
   SnapshotData data;
   std::map<uint64_t, Session> sessions;
 
-  /// On-wire size for bandwidth accounting. Computed once and cached — the
-  /// network charges this at every hop of a snapshot transfer, and the old
-  /// implementation re-walked every entry per charge site.
-  size_t SerializedBytes() const;
   std::vector<uint8_t> Serialize() const;
   static Result<Snapshot> Deserialize(const std::vector<uint8_t>& bytes);
-
- private:
-  mutable size_t serialized_bytes_memo_ = 0;  // 0 = not yet computed
 };
 
 using SnapshotPtr = std::shared_ptr<const Snapshot>;

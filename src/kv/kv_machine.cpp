@@ -39,7 +39,6 @@ sm::SnapshotPtr KvMachine::Wrap(const kv::SnapshotPtr& snap) {
   out->range = snap->range;
   out->data = snap->Serialize();
   out->items = snap->data.size();
-  out->wire_bytes = snap->SerializedBytes();
   return out;
 }
 

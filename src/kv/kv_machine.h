@@ -2,7 +2,7 @@
 // state machine the consensus core can replicate, no longer a hard-wired
 // dependency. Commands arrive as opaque bytes (kv/service.h encoding),
 // snapshots as the store's own serialized format wrapped in sm::Snapshot
-// (wire_bytes preserves the historical bandwidth accounting).
+// (whose network charge is that format's encoded length).
 #pragma once
 
 #include "kv/kv.h"

@@ -17,10 +17,6 @@ sm::Command EncodeCommand(const Command& cmd) {
   enc.PutString(cmd.scan_hi);
   enc.PutU32(cmd.scan_limit);
   out.body = enc.Take();
-  // Bandwidth accounting matches the pre-sm typed payloads byte-for-byte
-  // (24 + key + value for the classic ops), so existing deterministic
-  // schedules replay unchanged.
-  out.wire_hint = static_cast<uint32_t>(cmd.WireBytes());
   return out;
 }
 

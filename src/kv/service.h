@@ -4,9 +4,8 @@
 // Request side: kv::Command (kv.h) is the typed request — Put / Get /
 // Delete / CAS / Scan. EncodeCommand turns it into an sm::Command whose
 // `key` is the routing coordinate and whose `body` only the KV machine
-// decodes; wire_hint pins the simulator's bandwidth accounting to the same
-// sizes the pre-sm system charged, so schedules are reproducible across the
-// refactor.
+// decodes. The simulator charges a command by the length of its encoded
+// message (net::EncodedSize), so these bytes are also what it pays for.
 //
 // Response side: Response carries the decoded result — a status, a value
 // (gets, CAS-mismatch echoes) and the entry batch (scans). Scan batches are

@@ -226,6 +226,9 @@ void UdpTransport::Deliver(NodeId from, std::vector<uint8_t> message) {
     return;
   }
   auto decoded = DecodeMessage(dec);
+  if (decoded.ok() && !dec.AtEnd()) {
+    decoded = Internal("trailing bytes after the message");
+  }
   if (!decoded.ok()) {
     if (metrics_ != nullptr) metrics_->counters().Add(ids_.decode_errors);
     RLOG_WARN("udp", "undecodable message from %u: %s", from,

@@ -143,7 +143,6 @@ Status GetStatus(Decoder& dec, Status* out) {
 void PutCommand(Encoder& enc, const sm::Command& c) {
   enc.PutString(c.key);
   enc.PutBytes(c.body);
-  enc.PutU32(c.wire_hint);
 }
 
 Result<sm::Command> GetCommand(Decoder& dec) {
@@ -152,11 +151,8 @@ Result<sm::Command> GetCommand(Decoder& dec) {
   if (!key.ok()) return key.status();
   auto body = dec.GetBytes();
   if (!body.ok()) return body.status();
-  auto hint = dec.GetU32();
-  if (!hint.ok()) return hint.status();
   c.key = std::move(*key);
   c.body = std::move(*body);
-  c.wire_hint = *hint;
   return c;
 }
 
@@ -449,6 +445,12 @@ void EncodeMessage(Encoder& enc, const raft::Message& m) {
         }
       },
       m);
+}
+
+size_t EncodedSize(const raft::Message& m) {
+  Encoder enc = Encoder::Counting();
+  EncodeMessage(enc, m);
+  return enc.size();
 }
 
 // --- decode ----------------------------------------------------------------

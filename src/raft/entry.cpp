@@ -3,33 +3,6 @@
 namespace recraft::raft {
 
 namespace {
-struct BytesVisitor {
-  size_t operator()(const NoOp&) const { return 1; }
-  size_t operator()(const sm::Command& c) const { return c.WireBytes(); }
-  size_t operator()(const ConfInit& c) const {
-    return 32 + c.members.size() * 8;
-  }
-  size_t operator()(const ConfSplitJoint& c) const {
-    return 32 + c.plan.subs.size() * 64;
-  }
-  size_t operator()(const ConfSplitNew& c) const {
-    return 32 + c.plan.subs.size() * 64;
-  }
-  size_t operator()(const ConfMember& c) const {
-    return 16 + c.change.nodes.size() * 8;
-  }
-  size_t operator()(const ConfMergeTx& c) const {
-    return 48 + c.plan.sources.size() * 64;
-  }
-  size_t operator()(const ConfMergeOutcome& c) const {
-    return 48 + c.plan.sources.size() * 64;
-  }
-  size_t operator()(const ConfSetRange& c) const {
-    return 48 + (c.absorb ? c.absorb->SerializedBytes() : 0);
-  }
-  size_t operator()(const ConfAbortSettled&) const { return 16; }
-};
-
 struct DescribeVisitor {
   std::string operator()(const NoOp&) const { return "noop"; }
   std::string operator()(const ConfInit& c) const {
@@ -62,10 +35,6 @@ struct DescribeVisitor {
   }
 };
 }  // namespace
-
-size_t LogEntry::WireBytes() const {
-  return 16 + std::visit(BytesVisitor{}, payload);
-}
 
 std::string LogEntry::Describe() const {
   return std::to_string(index) + "@" + et().ToString() + ":" +

@@ -86,7 +86,6 @@ struct LogEntry {
     return !std::holds_alternative<NoOp>(payload) &&
            !std::holds_alternative<sm::Command>(payload);
   }
-  size_t WireBytes() const;
   std::string Describe() const;
 };
 

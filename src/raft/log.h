@@ -144,15 +144,6 @@ class RaftLog {
     return entries_.Span(lo - base_index_ - 1, hi - lo + 1);
   }
 
-  /// Total payload bytes above the base (for GC accounting).
-  size_t ApproxBytes() const {
-    size_t n = 0;
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      n += entries_.At(i).WireBytes();
-    }
-    return n;
-  }
-
  private:
   EntryList entries_;
   Index base_index_ = 0;

@@ -1,77 +1,10 @@
 #include "raft/messages.h"
 
+#include "net/wire.h"
+
 namespace recraft::raft {
 
 namespace {
-
-struct BytesVisitor {
-  size_t operator()(const RequestVote&) const { return 40; }
-  size_t operator()(const VoteReply&) const { return 24; }
-  size_t operator()(const AppendEntries& m) const {
-    size_t n = 48;
-    for (const auto& e : m.entries) n += e.WireBytes();
-    return n;
-  }
-  size_t operator()(const AppendReply&) const { return 40; }
-  size_t operator()(const InstallSnapshot& m) const {
-    return 24 + (m.snap ? m.snap->WireBytes() : 0);
-  }
-  size_t operator()(const InstallSnapshotReply&) const { return 24; }
-  size_t operator()(const CommitNotify&) const { return 32; }
-  size_t operator()(const PullRequest&) const { return 24; }
-  size_t operator()(const PullReply& m) const {
-    size_t n = 40 + (m.snap ? m.snap->WireBytes() : 0);
-    for (const auto& e : m.entries) n += e.WireBytes();
-    return n;
-  }
-  size_t operator()(const MergePrepareReq& m) const {
-    return 32 + m.plan.sources.size() * 64;
-  }
-  size_t operator()(const MergePrepareReply&) const { return 40; }
-  size_t operator()(const MergeCommitReq& m) const {
-    return 32 + m.plan.sources.size() * 64;
-  }
-  size_t operator()(const MergeCommitReply&) const { return 32; }
-  size_t operator()(const MergeFinalize&) const { return 24; }
-  size_t operator()(const ExchangeDone&) const { return 24; }
-  size_t operator()(const SnapPullReq&) const { return 24; }
-  size_t operator()(const SnapPullReply& m) const {
-    return 32 + (m.snap ? m.snap->SerializedBytes() : 0);
-  }
-  size_t operator()(const ReadIndexProbe&) const { return 32; }
-  size_t operator()(const ReadIndexAck&) const { return 32; }
-  size_t operator()(const ClientRequest& m) const {
-    if (const auto* cmd = std::get_if<sm::Command>(&m.body)) {
-      return 24 + cmd->WireBytes();
-    }
-    if (const auto* read = std::get_if<ReadRequest>(&m.body)) {
-      return 24 + read->query.WireBytes();
-    }
-    if (const auto* sr = std::get_if<AdminSetRange>(&m.body)) {
-      return 128 + (sr->absorb ? sr->absorb->SerializedBytes() : 0);
-    }
-    return 128;
-  }
-  size_t operator()(const ClientReply& m) const {
-    return 56 + m.value.size() + m.serving_range.lo().size() +
-           m.serving_range.hi().size();
-  }
-  size_t operator()(const RangeSnapReq&) const { return 32; }
-  size_t operator()(const RangeSnapReply& m) const {
-    return 40 + (m.snap ? m.snap->SerializedBytes() : 0);
-  }
-  size_t operator()(const BootstrapReq& m) const {
-    return 128 + (m.data ? m.data->SerializedBytes() : 0);
-  }
-  size_t operator()(const BootstrapAck&) const { return 24; }
-  size_t operator()(const NamingRegister& m) const {
-    return 48 + m.members.size() * 8;
-  }
-  size_t operator()(const NamingLookupReq&) const { return 16; }
-  size_t operator()(const NamingLookupReply& m) const {
-    return 16 + m.clusters.size() * 64;
-  }
-};
 
 struct NameVisitor {
   const char* operator()(const RequestVote&) const { return "RequestVote"; }
@@ -128,7 +61,7 @@ struct NameVisitor {
 
 }  // namespace
 
-size_t MessageBytes(const Message& m) { return std::visit(BytesVisitor{}, m); }
+size_t MessageBytes(const Message& m) { return net::EncodedSize(m); }
 
 const char* MessageName(const Message& m) {
   return std::visit(NameVisitor{}, m);

@@ -1,6 +1,7 @@
 // Every RPC exchanged by nodes, clients, cluster managers and the naming
-// service. The simulated network carries them as shared_ptr<const Message>;
-// sizes for bandwidth accounting come from MessageBytes().
+// service. The simulated network carries them as shared_ptr<const Message>
+// and charges MessageBytes(): the exact length of the message's net::wire
+// encoding, the same bytes UdpTransport puts on a real socket.
 #pragma once
 
 #include <map>
@@ -45,11 +46,6 @@ struct RaftSnapshot {
   /// the C_abort entry, and thus leader changes and reboots (see
   /// ConfAbortSettled).
   std::map<TxId, MergePlan> unsettled_aborts;
-
-  size_t WireBytes() const {
-    return 128 + (state ? state->SerializedBytes() : 0) + history.size() * 64 +
-           unsettled_aborts.size() * 96;
-  }
 };
 using RaftSnapshotPtr = std::shared_ptr<const RaftSnapshot>;
 
@@ -357,7 +353,8 @@ using Message =
                  BootstrapReq, BootstrapAck, NamingRegister, NamingLookupReq,
                  NamingLookupReply>;
 
-/// On-wire size estimate for bandwidth accounting.
+/// Exact on-wire size: the length net::EncodeMessage writes for `m`,
+/// counted without encoding (net::EncodedSize).
 size_t MessageBytes(const Message& m);
 
 /// Short human-readable tag ("AppendEntries", ...) for logs and traces.
@@ -383,7 +380,7 @@ class MessagePtr {
   const Message* get() const { return rec_ ? &rec_->msg : nullptr; }
   explicit operator bool() const { return rec_ != nullptr; }
 
-  /// On-wire size for bandwidth accounting, memoized at MakeMessage.
+  /// Encoded size (MessageBytes), memoized at MakeMessage.
   size_t wire_bytes() const { return rec_ ? rec_->bytes : 0; }
 
   obs::TraceCtx trace_ctx() const {

@@ -22,8 +22,6 @@ Command EncodeQueueRequest(const QueueRequest& req) {
   enc.PutU64(req.seq);
   enc.PutString(req.payload);
   out.body = enc.Take();
-  out.wire_hint =
-      static_cast<uint32_t>(24 + req.topic.size() + req.payload.size());
   return out;
 }
 
@@ -181,7 +179,6 @@ Result<SnapshotPtr> QueueMachine::TakeSnapshot(const KeyRange& sub) const {
   }
   snap->data = enc.Take();
   snap->items = items;
-  snap->wire_bytes = 64 + snap->data.size();
   return SnapshotPtr(std::move(snap));
 }
 

@@ -40,14 +40,6 @@ struct Command {
   std::string key;
   /// Machine-defined encoding of the operation.
   std::vector<uint8_t> body;
-  /// On-wire size for the simulator's bandwidth accounting, fixed by the
-  /// encoding service (0 falls back to a generic estimate). Persisted with
-  /// the entry so replayed logs charge identical bytes.
-  uint32_t wire_hint = 0;
-
-  size_t WireBytes() const {
-    return wire_hint != 0 ? wire_hint : 16 + key.size() + body.size();
-  }
 };
 
 /// The machine's answer to a command or query: a status plus opaque result
@@ -59,17 +51,13 @@ struct CmdResult {
 
 /// An immutable point-in-time state of a machine, serialized by the machine
 /// itself. Shared by pointer: snapshot "transfer" in the simulator moves the
-/// pointer while the network charges wire_bytes.
+/// pointer while the network charges the carrying message's encoded size.
 struct Snapshot {
   KeyRange range;              // the key span this snapshot covers
   std::vector<uint8_t> data;   // machine-serialized state
   uint64_t items = 0;          // item count (metrics, logs)
-  /// Bandwidth-accounting size, set by the machine (0 -> generic estimate).
-  size_t wire_bytes = 0;
 
-  size_t SerializedBytes() const {
-    return wire_bytes != 0 ? wire_bytes : 64 + data.size();
-  }
+  size_t SerializedBytes() const { return data.size(); }
 };
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
 

@@ -263,7 +263,6 @@ void EncodeSmSnapshot(Encoder& enc, const sm::Snapshot& s) {
   EncodeKeyRange(enc, s.range);
   enc.PutBytes(s.data);
   enc.PutU64(s.items);
-  enc.PutU64(s.wire_bytes);
 }
 
 Result<sm::Snapshot> DecodeSmSnapshot(Decoder& dec) {
@@ -274,8 +273,6 @@ Result<sm::Snapshot> DecodeSmSnapshot(Decoder& dec) {
   out.data = std::move(data);
   RECRAFT_DEC(items, dec.GetU64());
   out.items = items;
-  RECRAFT_DEC(wire, dec.GetU64());
-  out.wire_bytes = static_cast<size_t>(wire);
   return out;
 }
 
@@ -291,7 +288,6 @@ void EncodeLogEntry(Encoder& enc, const raft::LogEntry& e) {
           enc.PutU8(kTagCommand);
           enc.PutString(body.key);
           enc.PutBytes(body.body);
-          enc.PutU32(body.wire_hint);
         } else if constexpr (std::is_same_v<T, raft::ConfInit>) {
           enc.PutU8(kTagConfInit);
           EncodeNodeVec(enc, body.members);
@@ -344,8 +340,6 @@ Result<raft::LogEntry> DecodeLogEntry(Decoder& dec) {
       cmd.key = std::move(key);
       RECRAFT_DEC(body, dec.GetBytes());
       cmd.body = std::move(body);
-      RECRAFT_DEC(hint, dec.GetU32());
-      cmd.wire_hint = hint;
       out.payload = std::move(cmd);
       break;
     }

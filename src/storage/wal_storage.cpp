@@ -383,7 +383,8 @@ void WalStorage::Crash(const CrashSpec& spec) {
 
 // --- recovery --------------------------------------------------------------
 
-void WalStorage::ReplayWal(const std::vector<uint8_t>& bytes, Model* model) {
+Status WalStorage::ReplayWal(const std::vector<uint8_t>& bytes,
+                             Model* model) {
   size_t pos = 0;
   const size_t n = bytes.size();
   while (pos + kRecordHeaderBytes <= n) {
@@ -392,12 +393,13 @@ void WalStorage::ReplayWal(const std::vector<uint8_t>& bytes, Model* model) {
     std::memcpy(&len, bytes.data() + pos, 4);
     std::memcpy(&crc, bytes.data() + pos + 4, 4);
     if (pos + kRecordHeaderBytes + len > n) break;  // truncated tail record
+    // Every real record carries at least its type byte; an empty one is a
+    // zero-filled tail (the CRC of nothing is trivially 0), not a record.
+    if (len == 0) break;
     const uint8_t* body = bytes.data() + pos + kRecordHeaderBytes;
     if (Crc32(body, len) != crc) break;  // torn or rotted record
-    std::vector<uint8_t> payload(body, body + len);
-    Decoder dec(payload);
-    auto type = dec.GetU8();
-    if (!type.ok()) break;
+    Decoder dec(body, len);
+    auto type = dec.GetU8();  // len > 0: always present
     bool ok = true;
     switch (*type) {
       case kRecHardState: {
@@ -496,7 +498,13 @@ void WalStorage::ReplayWal(const std::vector<uint8_t>& bytes, Model* model) {
         ok = false;
         break;
     }
-    if (!ok) break;
+    if (!ok || !dec.AtEnd()) {
+      // The record is intact as written, so it is not a torn write: it is
+      // another format (an older build's) or a bug. Fail the load and keep
+      // the file; cutting here would delete acknowledged records after it.
+      return Internal("wal: record at offset " + std::to_string(pos) +
+                      " passes its CRC but cannot be replayed");
+    }
     ++stats_.replayed_records;
     pos += kRecordHeaderBytes + len;
   }
@@ -504,12 +512,22 @@ void WalStorage::ReplayWal(const std::vector<uint8_t>& bytes, Model* model) {
     stats_.tore_tail = true;
     stats_.dropped_tail_bytes = n - pos;
   }
+  return OkStatus();
 }
 
 Result<BootImage> WalStorage::Load() {
   const std::vector<uint8_t>& bytes = disk_->ReadDurable(kWalFile);
+  // Recovery stats describe this load only: a second Load() (recraftd
+  // probes once before the node boots) must not re-cut the previous
+  // load's tail length off a file that was already truncated.
+  stats_.replayed_records = 0;
+  stats_.replayed_entries = 0;
+  stats_.dropped_tail_bytes = 0;
+  stats_.tore_tail = false;
+  stats_.snapshot_fallback = false;
   Model m;
-  ReplayWal(bytes, &m);
+  Status replayed = ReplayWal(bytes, &m);
+  if (!replayed.ok()) return replayed;
   const size_t replayable = bytes.size() - stats_.dropped_tail_bytes;
   if (stats_.tore_tail) {
     // Cut the torn/garbage tail off the durable file NOW: records appended
@@ -534,7 +552,7 @@ Result<BootImage> WalStorage::Load() {
     if (!blob.empty()) {
       Decoder dec(blob);
       auto decoded = DecodeRaftSnapshot(dec);
-      if (decoded.ok()) {
+      if (decoded.ok() && dec.AtEnd()) {
         snap = std::make_shared<raft::RaftSnapshot>(std::move(*decoded));
         break;
       }
@@ -561,7 +579,7 @@ Result<BootImage> WalStorage::Load() {
       const auto& blob = disk_->ReadDurable(SnapFile(best));
       Decoder dec(blob);
       auto decoded = DecodeRaftSnapshot(dec);
-      if (!blob.empty() && decoded.ok()) {
+      if (!blob.empty() && decoded.ok() && dec.AtEnd()) {
         snap = std::make_shared<raft::RaftSnapshot>(std::move(*decoded));
         m.snap_gen = best;
         m.snap_index = snap->last_index;
@@ -594,7 +612,8 @@ Result<BootImage> WalStorage::Load() {
     const auto& blob = disk_->ReadDurable(name);
     Decoder dec(blob);
     auto decoded = DecodeSmSnapshot(dec);
-    if (!decoded.ok()) continue;  // corrupt seal: peers still hold copies
+    // Corrupt or foreign-format seal: peers still hold copies.
+    if (!decoded.ok() || !dec.AtEnd()) continue;
     img.sealed[{static_cast<TxId>(tx), src}] =
         std::make_shared<const sm::Snapshot>(std::move(*decoded));
   }

@@ -12,7 +12,9 @@
 // stops at the first truncated or CRC-failing record — a torn tail write is
 // detected and discarded, never replayed as garbage. Because group commit
 // preserves write order and a crash loses only a suffix of the unflushed
-// bytes, the surviving prefix is always a consistent history.
+// bytes, the surviving prefix is always a consistent history. A record that
+// passes its CRC but does not replay was written whole, so it is no torn
+// write: Load() fails and leaves the file as it is.
 //
 // Group commit: mutations append records to the disk's pending region and
 // arm a flush timer on the net::Clock (flush_interval); when it fires, one
@@ -145,8 +147,11 @@ class WalStorage final : public Storage {
   void FlushNow(bool from_timer);
   void MaybeRewriteWal();
   std::vector<uint8_t> EncodeCheckpoint() const;
-  /// Replay the durable WAL bytes into `model`; updates recovery stats.
-  void ReplayWal(const std::vector<uint8_t>& bytes, Model* model);
+  /// Replay the durable WAL bytes into `model`; updates recovery stats. A
+  /// short or CRC-failing tail is a torn write (stats_.tore_tail); a
+  /// CRC-valid record that does not decode completely, or would leave a
+  /// gap in the log, is an error.
+  Status ReplayWal(const std::vector<uint8_t>& bytes, Model* model);
 
   std::shared_ptr<Disk> disk_;
   net::Clock* clock_;  // may be null (unit tests drive Sync())

@@ -171,11 +171,11 @@ TEST(KvStore, MergeInRejectsOverlapAndGap) {
 
 TEST(KvSnapshot, SerializedBytesScalesWithContent) {
   Store s;
-  auto empty_bytes = s.TakeSnapshot()->SerializedBytes();
+  auto empty_bytes = s.TakeSnapshot()->Serialize().size();
   for (int i = 0; i < 100; ++i) {
     (void)s.Apply(Put("key" + std::to_string(i), std::string(100, 'v')));
   }
-  EXPECT_GT(s.TakeSnapshot()->SerializedBytes(), empty_bytes + 100 * 100);
+  EXPECT_GT(s.TakeSnapshot()->Serialize().size(), empty_bytes + 100 * 100);
 }
 
 TEST(KvStore, ScanClampsToRangeAndRestriction) {

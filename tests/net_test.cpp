@@ -29,9 +29,12 @@ using net::ReliableLink;
 
 // --- wire codec -----------------------------------------------------------
 
+// Also pins the one byte model: the size the simulator charges
+// (wire_bytes, counted at MakeMessage) is the length actually encoded.
 raft::MessagePtr RoundTrip(const raft::MessagePtr& in) {
   Encoder enc;
   net::EncodeMessage(enc, *in);
+  EXPECT_EQ(in.wire_bytes(), enc.size());
   Decoder dec(enc.buffer());
   auto out = net::DecodeMessage(dec);
   EXPECT_TRUE(out.ok()) << out.status().message();
@@ -49,7 +52,6 @@ raft::EntrySpan MakeEntries(uint64_t first_index, uint64_t term, size_t n) {
     sm::Command c;
     c.key = "k" + std::to_string(i);
     c.body = {1, 2, 3, static_cast<uint8_t>(i)};
-    c.wire_hint = 32;
     e.payload = std::move(c);
     slab->PushBack(std::move(e));
   }
@@ -187,8 +189,9 @@ TEST(WireCodec, ReadIndexProbeAckRoundTrip) {
 
 TEST(WireCodec, EveryVariantRoundTrips) {
   // One instance per variant — the decoder must consume exactly what the
-  // encoder produced for all 28 tags (default-constructed bodies where the
-  // fields don't matter; the per-variant tests above cover field fidelity).
+  // encoder produced, and wire_bytes() must equal that length, for all 28
+  // tags (default-constructed bodies where the fields don't matter; the
+  // per-variant tests cover field fidelity).
   std::vector<raft::MessagePtr> msgs;
   msgs.push_back(raft::MakeMessage(raft::RequestVote{}));
   msgs.push_back(raft::MakeMessage(raft::VoteReply{}));
@@ -223,6 +226,53 @@ TEST(WireCodec, EveryVariantRoundTrips) {
     auto out = RoundTrip(msgs[i]);
     ASSERT_TRUE(out);
     EXPECT_EQ(out->index(), msgs[i]->index());
+  }
+}
+
+TEST(WireCodec, SnapshotCarriersChargeTheirEncodedLength) {
+  // The variants whose size is dominated by snapshot and log payloads — the
+  // bytes split and merge move between clusters — populated, so a counting
+  // path that skipped a nested field would show.
+  auto state = std::make_shared<sm::Snapshot>();
+  state->range = KeyRange("b", "m");
+  state->data = std::vector<uint8_t>(300, 7);
+  state->items = 12;
+  raft::MergePlan plan;
+  plan.tx = 5;
+  plan.sources.resize(2);
+  plan.sources[0].members = {1, 2, 3};
+  plan.sources[1].members = {4, 5, 6};
+  plan.new_range = KeyRange("a", "z");
+  plan.resume_members = {1, 2, 4};
+  auto snap = std::make_shared<raft::RaftSnapshot>();
+  snap->last_index = 40;
+  snap->state = state;
+  snap->config.members = {1, 2, 3};
+  snap->history.resize(2);
+  snap->history[1].members = {1, 2};
+  snap->unsettled_aborts.emplace(plan.tx, plan);
+
+  raft::InstallSnapshot install;
+  install.snap = snap;
+  raft::PullReply pull;
+  pull.entries = MakeEntries(41, 3, 4);
+  pull.snap = snap;
+  raft::SnapPullReply sealed;
+  sealed.snap = state;
+  raft::ClientRequest absorb;
+  absorb.body = raft::AdminSetRange{KeyRange("m", ""), state};
+  raft::BootstrapReq boot;
+  boot.genesis.members = {7, 8, 9};
+  boot.data = state;
+  raft::MergePrepareReq prepare;
+  prepare.plan = plan;
+
+  for (const raft::MessagePtr& msg :
+       {raft::MakeMessage(install), raft::MakeMessage(pull),
+        raft::MakeMessage(sealed), raft::MakeMessage(absorb),
+        raft::MakeMessage(boot), raft::MakeMessage(prepare)}) {
+    SCOPED_TRACE(raft::MessageName(*msg));
+    ASSERT_TRUE(RoundTrip(msg));  // checks wire_bytes() == encoded length
   }
 }
 
@@ -798,6 +848,35 @@ TEST_F(UdpTransportTest, TraceCtxSurvivesTheWire) {
   ASSERT_TRUE(PumpUntil([&] { return seen.trace_id != 0; }));
   EXPECT_EQ(seen.trace_id, 0xdeadbeefu);
   EXPECT_EQ(seen.parent_span, 42u);
+}
+
+TEST_F(UdpTransportTest, TrailingBytesAreADecodeError) {
+  Boot();
+  std::vector<uint64_t> got;
+  t2_->Bind(2, [&got](NodeId, const raft::Message& m, obs::TraceCtx) {
+    got.push_back(std::get<raft::RequestVote>(m).last_idx);
+  });
+  // Node 1 only sends DATA frames here, and a frame's payload runs to the
+  // end of the datagram: one appended byte lands after the message.
+  t1_->set_send_shim([](NodeId to, std::vector<uint8_t> d,
+                        const net::UdpTransport::RawSendFn& forward) {
+    d.push_back(0);
+    forward(to, d);
+  });
+  raft::RequestVote v;
+  v.last_idx = 1;
+  t1_->Send(1, 2, raft::MakeMessage(v));
+  ASSERT_TRUE(PumpUntil(
+      [&] { return metrics2_.counters().Get("net.decode_errors") == 1; }));
+  EXPECT_TRUE(got.empty());
+
+  // The same message without the extra byte is delivered.
+  t1_->set_send_shim(nullptr);
+  v.last_idx = 2;
+  t1_->Send(1, 2, raft::MakeMessage(v));
+  ASSERT_TRUE(PumpUntil([&] { return !got.empty(); }));
+  EXPECT_EQ(got, std::vector<uint64_t>{2});
+  EXPECT_EQ(metrics2_.counters().Get("net.decode_errors"), 1u);
 }
 
 TEST_F(UdpTransportTest, LossyShimStillDeliversInOrder) {

@@ -5,7 +5,9 @@
 // exactly-once semantics intact.
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "kv/service.h"
+#include "net/wire.h"
 #include "sm/queue_machine.h"
 #include "tests/test_util.h"
 
@@ -46,17 +48,25 @@ TEST(KvServiceCodec, CommandRoundTripsAllOps) {
   }
 }
 
-TEST(KvServiceCodec, WireHintPreservesLegacyAccounting) {
-  // The simulator's deterministic schedules charge 24 + key + value for the
-  // classic ops; the opaque encoding must not silently change that.
-  kv::Command cmd;
-  cmd.op = kv::OpType::kPut;
-  cmd.key = "k00000001";
-  cmd.value.assign(512, 'x');
-  EXPECT_EQ(kv::EncodeCommand(cmd).WireBytes(), 24 + 9 + 512);
-  cmd.op = kv::OpType::kGet;
-  cmd.value.clear();
-  EXPECT_EQ(kv::EncodeCommand(cmd).WireBytes(), 24u + 9u);
+TEST(KvServiceCodec, ClientWriteIsChargedItsEncodedBytes) {
+  // The simulator charges a client request the length of its wire encoding:
+  // key and value bytes count exactly once each on top of a fixed framing,
+  // and the total is what net::EncodeMessage writes.
+  auto request = [](size_t key_len, size_t value_len) {
+    kv::Command cmd;
+    cmd.op = kv::OpType::kPut;
+    cmd.key.assign(key_len, 'k');
+    cmd.value.assign(value_len, 'x');
+    raft::ClientRequest req;
+    req.body = kv::EncodeCommand(cmd);
+    return raft::MakeMessage(std::move(req));
+  };
+  const raft::MessagePtr put = request(9, 512);
+  Encoder enc;
+  net::EncodeMessage(enc, *put);
+  EXPECT_EQ(put.wire_bytes(), enc.size());
+  EXPECT_EQ(put.wire_bytes() - request(9, 0).wire_bytes(), 512u);
+  EXPECT_EQ(request(9, 0).wire_bytes() - request(1, 0).wire_bytes(), 8u);
 }
 
 TEST(KvServiceCodec, RejectsForeignMachineBytes) {

@@ -556,6 +556,100 @@ TEST(WalStorage, DoubleCrashDuringReplayIsIdempotent) {
   EXPECT_EQ(second->entries.back().index, 6u);
 }
 
+TEST(WalStorage, ReloadOnTheSameInstanceDoesNotCutAgain) {
+  // recraftd Load()s once to probe and again inside the node constructor.
+  // The second load must see a clean file and leave it alone, not cut the
+  // first load's torn-tail length off records that are intact.
+  auto disk = std::make_shared<SimDisk>();
+  WalStorage::Options wopts;
+  wopts.flush_interval = 1000;
+  {
+    WalStorage wal(disk, nullptr, wopts);
+    for (Index i = 1; i <= 5; ++i) {
+      wal.OnLogAppend(KvEntry(i, 1, "k" + std::to_string(i), "v"));
+    }
+    wal.Sync();
+    wal.OnLogAppend(KvEntry(6, 1, "k6", "v"));  // in flight, will tear
+    wal.Crash(CrashSpec{CrashPoint::kTornTail});
+  }
+  WalStorage wal(disk, nullptr, wopts);
+  auto probe = wal.Load();
+  ASSERT_TRUE(probe.ok());
+  ASSERT_TRUE(wal.stats().tore_tail);
+  const size_t cut = disk->DurableSize("wal");
+  auto boot = wal.Load();
+  ASSERT_TRUE(boot.ok());
+  EXPECT_FALSE(wal.stats().tore_tail);
+  EXPECT_EQ(disk->DurableSize("wal"), cut);
+  EXPECT_EQ(boot->entries.size(), 5u);
+}
+
+// One WAL frame ([u32 len][u32 crc][payload]) around `payload`, CRC valid.
+std::vector<uint8_t> Frame(const std::vector<uint8_t>& payload) {
+  Encoder enc;
+  enc.PutU32(static_cast<uint32_t>(payload.size()));
+  enc.PutU32(Crc32(payload));
+  for (uint8_t b : payload) enc.PutU8(b);
+  return enc.Take();
+}
+
+TEST(WalStorage, IntactButUndecodableRecordFailsLoadAndKeepsTheFile) {
+  // A record whose CRC checks out was written whole: if it does not parse
+  // it is another format (an older build's WAL) or a bug, never a torn
+  // write. Treating it as a torn tail would durably cut it and every
+  // acknowledged record after it; the load must fail with the file intact.
+  constexpr uint8_t kRecAppend = 2;  // WalStorage's append record type
+  Encoder trailing;
+  trailing.PutU8(kRecAppend);
+  EncodeLogEntry(trailing, KvEntry(4, 1, "k4", "v"));
+  trailing.PutU8(0);  // one byte the decoder does not consume
+  const std::vector<std::vector<uint8_t>> bad_payloads = {
+      trailing.Take(), {0xEE} /* unknown record type */};
+  for (const auto& bad : bad_payloads) {
+    auto disk = std::make_shared<SimDisk>();
+    {
+      WalStorage wal(disk, nullptr);
+      for (Index i = 1; i <= 3; ++i) {
+        wal.OnLogAppend(KvEntry(i, 1, "k" + std::to_string(i), "v"));
+      }
+    }
+    disk->Append("wal", Frame(bad));
+    Encoder after;  // an acknowledged record behind the bad one
+    after.PutU8(kRecAppend);
+    EncodeLogEntry(after, KvEntry(4, 1, "k4", "v"));
+    disk->Append("wal", Frame(after.buffer()));
+    disk->Flush("wal");
+    const std::vector<uint8_t> before = disk->ReadDurable("wal");
+
+    WalStorage wal(disk, nullptr);
+    auto img = wal.Load();
+    EXPECT_FALSE(img.ok());
+    EXPECT_EQ(disk->ReadDurable("wal"), before);
+  }
+}
+
+TEST(WalStorage, SnapshotBlobWithTrailingBytesFallsBack) {
+  // Snapshot blobs get the same full-consumption check: a blob that parses
+  // but leaves bytes over is unusable, and with no older generation the
+  // load fails instead of booting a misread image.
+  auto disk = std::make_shared<SimDisk>();
+  {
+    WalStorage wal(disk, nullptr);
+    auto snap = std::make_shared<raft::RaftSnapshot>();
+    snap->last_index = 3;
+    snap->last_term = 1;
+    wal.InstallSnapshot(snap);
+    wal.OnLogCompactTo(3, 1);
+  }
+  std::vector<uint8_t> blob = disk->ReadDurable("snap-1");
+  ASSERT_TRUE(WalStorage(disk, nullptr).Load().ok());
+  blob.push_back(0);
+  disk->WriteAtomic("snap-1", blob);
+  WalStorage wal(disk, nullptr);
+  EXPECT_FALSE(wal.Load().ok());
+  EXPECT_TRUE(wal.stats().snapshot_fallback);
+}
+
 // ---------------------------------------------------------------------------
 // InMemoryStorage: the boot-image contract without byte modeling.
 
