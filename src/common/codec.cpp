@@ -1,51 +1,6 @@
-#include "common/codec.h"
+#include "common/status.h"
 
 namespace recraft {
-
-Result<uint8_t> Decoder::GetU8() {
-  if (auto s = Need(1); !s.ok()) return s;
-  return data_[pos_++];
-}
-
-Result<uint32_t> Decoder::GetU32() {
-  if (auto s = Need(4); !s.ok()) return s;
-  uint32_t v;
-  std::memcpy(&v, data_ + pos_, 4);
-  pos_ += 4;
-  return v;
-}
-
-Result<uint64_t> Decoder::GetU64() {
-  if (auto s = Need(8); !s.ok()) return s;
-  uint64_t v;
-  std::memcpy(&v, data_ + pos_, 8);
-  pos_ += 8;
-  return v;
-}
-
-Result<bool> Decoder::GetBool() {
-  auto v = GetU8();
-  if (!v.ok()) return v.status();
-  return *v != 0;
-}
-
-Result<std::string> Decoder::GetString() {
-  auto n = GetU32();
-  if (!n.ok()) return n.status();
-  if (auto s = Need(*n); !s.ok()) return s;
-  std::string out(reinterpret_cast<const char*>(data_ + pos_), *n);
-  pos_ += *n;
-  return out;
-}
-
-Result<std::vector<uint8_t>> Decoder::GetBytes() {
-  auto n = GetU32();
-  if (!n.ok()) return n.status();
-  if (auto s = Need(*n); !s.ok()) return s;
-  std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + *n);
-  pos_ += *n;
-  return out;
-}
 
 const char* CodeName(Code c) {
   switch (c) {

@@ -45,6 +45,14 @@ class KeyRange {
   bool operator==(const KeyRange& o) const;
   std::string ToString() const;
 
+  /// Serialized fields (common/codec.h): lo, hi, hi-is-infinite. A decoded
+  /// range must be one the constructors can make: hi empty iff infinite.
+  template <class Io>
+  friend void Walk(Io& io, KeyRange& r) {
+    io(r.lo_, r.hi_, r.hi_inf_);
+    io.Check(r.hi_inf_ == r.hi_.empty(), "codec: malformed key range");
+  }
+
  private:
   std::string lo_;
   std::string hi_;

@@ -25,6 +25,9 @@ enum class Code : uint8_t {
                      // so the router can detect a stale shard map
 };
 
+/// The last enumerator: decoders reject a code byte beyond it.
+constexpr Code EnumLast(Code) { return Code::kWrongShard; }
+
 const char* CodeName(Code c);
 
 class [[nodiscard]] Status {
@@ -43,6 +46,12 @@ class [[nodiscard]] Status {
   std::string ToString() const;
 
   bool operator==(const Status& o) const { return code_ == o.code_; }
+
+  /// Serialized fields (common/codec.h): code, message.
+  template <class Io>
+  friend void Walk(Io& io, Status& s) {
+    io(s.code_, s.msg_);
+  }
 
  private:
   Code code_;

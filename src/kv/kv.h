@@ -27,6 +27,7 @@ enum class OpType : uint8_t {
   kCas = 3,   // compare-and-swap: expected -> value (expected "" = absent)
   kScan = 4,  // bounded range read [key, scan_hi) capped at scan_limit
 };
+constexpr OpType EnumLast(OpType) { return OpType::kScan; }
 
 /// The typed KV request — the service layer's Request type. Writes (Put /
 /// Delete / CAS) travel through the log as opaque sm::Command bytes; reads

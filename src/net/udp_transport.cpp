@@ -197,9 +197,8 @@ void UdpTransport::Send(NodeId from, NodeId to, const raft::MessagePtr& msg) {
   if (!msg || fd_ < 0) return;
 
   Encoder enc;
-  obs::TraceCtx ctx = msg.trace_ctx();
-  enc.PutU64(ctx.trace_id);
-  enc.PutU64(ctx.parent_span);
+  const obs::TraceCtx ctx = msg.trace_ctx();
+  codec::Write(enc, ctx.trace_id, ctx.parent_span);
   EncodeMessage(enc, *msg);
 
   Peer* p = GetPeer(to, nullptr);
@@ -219,9 +218,8 @@ void UdpTransport::Send(NodeId from, NodeId to, const raft::MessagePtr& msg) {
 
 void UdpTransport::Deliver(NodeId from, std::vector<uint8_t> message) {
   Decoder dec(message.data(), message.size());
-  auto trace_id = dec.GetU64();
-  auto parent_span = dec.GetU64();
-  if (!trace_id.ok() || !parent_span.ok()) {
+  obs::TraceCtx ctx;
+  if (!codec::Read(dec, ctx.trace_id, ctx.parent_span).ok()) {
     if (metrics_ != nullptr) metrics_->counters().Add(ids_.decode_errors);
     return;
   }
@@ -235,9 +233,6 @@ void UdpTransport::Deliver(NodeId from, std::vector<uint8_t> message) {
               decoded.status().message().c_str());
     return;
   }
-  obs::TraceCtx ctx;
-  ctx.trace_id = *trace_id;
-  ctx.parent_span = *parent_span;
   decoded->set_trace_ctx(ctx);
   if (receive_) receive_(from, **decoded, ctx);
 }

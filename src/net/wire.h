@@ -1,15 +1,17 @@
 // Wire format for raft::Message over a real transport. The simulator never
-// serializes (payloads travel as shared pointers); UdpTransport does, so
-// every variant gets an explicit, append-only tag here and its fields ride
-// the same storage/codec encoders the WAL uses — one binary dialect for
-// disk and wire. It is also the one byte model: EncodedSize runs the same
-// encoder in counting mode, and raft::MessageBytes (hence every simulated
-// bandwidth charge) is exactly the length EncodeMessage writes — what
-// UdpTransport sends, less its trace header and link framing.
+// serializes (payloads travel as shared pointers); UdpTransport does. Each
+// variant has an append-only tag and one field walk (common/codec.h), and
+// nested consensus types walk through storage/codec.h — the WAL's walks,
+// so disk and wire speak one dialect. It is also the one byte model:
+// EncodedSize runs the same walks with the counting Sizer, and
+// raft::MessageBytes (hence every simulated bandwidth charge) is exactly
+// the length EncodeMessage writes — what UdpTransport sends, less its trace
+// header and link framing.
 //
-// DecodeMessage treats truncation and unknown tags as errors, never UB: a
-// datagram that passed the reliable link's framing can still be from a
-// different build, and recovery-grade paranoia is cheap. Decoded
+// DecodeMessage treats truncation, unknown tags, out-of-range enums and
+// counts the datagram could not hold as errors, never UB or an allocation
+// the bytes merely claim: a datagram that passed the reliable link's
+// framing can still be from a different build, or crafted. Decoded
 // AppendEntries/PullReply spans are rebuilt into a fresh EntrySlab — the
 // refcounted zero-copy sharing is a within-process optimization; across
 // processes the bytes are the truth.

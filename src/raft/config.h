@@ -96,6 +96,9 @@ enum class MemberChangeKind : uint8_t {
   kJointEnter,          // Raft JC: C_old,new
   kJointLeave,          // Raft JC: C_new
 };
+constexpr MemberChangeKind EnumLast(MemberChangeKind) {
+  return MemberChangeKind::kJointLeave;
+}
 
 const char* MemberChangeKindName(MemberChangeKind k);
 
@@ -151,6 +154,9 @@ enum class ConfigMode : uint8_t {
   kSplitLeaving,  // split C_new appended: commit quorum C_sub for entries
                   // >= cnew_index, election still joint until C_new commits
 };
+constexpr ConfigMode EnumLast(ConfigMode) {
+  return ConfigMode::kSplitLeaving;
+}
 
 /// The effective configuration a node derives from its log. Value type so
 /// the config tracker can push/pop states as entries append/truncate.

@@ -23,6 +23,7 @@ namespace recraft::raft {
 /// long-partitioned nodes and clusters can find their successors (§V).
 struct ReconfigRecord {
   enum class Kind : uint8_t { kSplit = 0, kMerge, kMember };
+  friend constexpr Kind EnumLast(Kind) { return Kind::kMember; }
   Kind kind = Kind::kMember;
   uint32_t epoch = 0;          // epoch in force after the reconfiguration
   ClusterUid uid = 0;          // cluster identity after

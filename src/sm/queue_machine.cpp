@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/codec.h"
-
 namespace recraft::sm {
 
 namespace {
@@ -12,43 +10,44 @@ size_t EventBytes(const std::string& topic, const std::string& payload) {
 }
 }  // namespace
 
+// The body: format tag, then the fields (the topic rides in the key).
+template <class Io>
+void Walk(Io& io, QueueRequest& r) {
+  io.Format(kQueueCommandFormat, "not a queue command body");
+  io(r.op, r.client_id, r.seq, r.payload);
+}
+
 Command EncodeQueueRequest(const QueueRequest& req) {
-  Command out;
-  out.key = req.topic;
-  Encoder enc;
-  enc.PutU8(kQueueCommandFormat);
-  enc.PutU8(static_cast<uint8_t>(req.op));
-  enc.PutU64(req.client_id);
-  enc.PutU64(req.seq);
-  enc.PutString(req.payload);
-  out.body = enc.Take();
-  return out;
+  return Command{req.topic, codec::Encode(req)};
 }
 
 Result<QueueRequest> DecodeQueueRequest(const Command& cmd) {
-  Decoder dec(cmd.body);
-  auto fmt = dec.GetU8();
-  if (!fmt.ok()) return fmt.status();
-  if (*fmt != kQueueCommandFormat) return Rejected("not a queue command body");
-  auto op = dec.GetU8();
-  if (!op.ok()) return op.status();
-  if (*op > static_cast<uint8_t>(QueueOp::kLen)) {
-    return Internal("queue: bad op");
-  }
   QueueRequest out;
-  out.op = static_cast<QueueOp>(*op);
+  Status s = codec::ReadAll(Decoder(cmd.body), out);
+  if (!s.ok()) return s;
   out.topic = cmd.key;
-  auto client = dec.GetU64();
-  if (!client.ok()) return client.status();
-  out.client_id = *client;
-  auto seq = dec.GetU64();
-  if (!seq.ok()) return seq.status();
-  out.seq = *seq;
-  auto payload = dec.GetString();
-  if (!payload.ok()) return payload.status();
-  out.payload = std::move(*payload);
   return out;
 }
+
+/// Snapshot image: the topics in the snapshot's range, each a u64-counted
+/// event queue, and every session.
+struct QueueMachine::Image {
+  struct Events {
+    std::deque<std::string> items;
+
+    template <class Io>
+    friend void Walk(Io& io, Events& e) {
+      io(codec::Long(e.items));
+    }
+  };
+  std::map<std::string, Events> topics;
+  std::map<uint64_t, Session> sessions;
+
+  template <class Io>
+  friend void Walk(Io& io, Image& img) {
+    io(codec::Long(img.topics), codec::Long(img.sessions));
+  }
+};
 
 CmdResult QueueMachine::Execute(const QueueRequest& req) {
   CmdResult res;
@@ -154,76 +153,35 @@ Result<SnapshotPtr> QueueMachine::TakeSnapshot(const KeyRange& sub) const {
     return Rejected("snapshot range " + sub.ToString() + " not within " +
                     range_.ToString());
   }
-  auto snap = std::make_shared<Snapshot>();
-  snap->range = sub;
-  Encoder enc;
-  size_t topic_count = 0;
+  Image img;
   size_t items = 0;
   for (const auto& [topic, events] : topics_) {
-    if (sub.Contains(topic)) ++topic_count;
-  }
-  enc.PutU64(topic_count);
-  for (const auto& [topic, events] : topics_) {
     if (!sub.Contains(topic)) continue;
-    enc.PutString(topic);
-    enc.PutU64(events.size());
-    for (const auto& e : events) enc.PutString(e);
+    img.topics[topic].items = events;
     items += events.size();
   }
-  enc.PutU64(sessions_.size());
-  for (const auto& [id, s] : sessions_) {
-    enc.PutU64(id);
-    enc.PutU64(s.last_seq);
-    enc.PutU8(static_cast<uint8_t>(s.last_result.status.code()));
-    enc.PutString(s.last_result.payload);
-  }
-  snap->data = enc.Take();
+  img.sessions = sessions_;
+  auto snap = std::make_shared<Snapshot>();
+  snap->range = sub;
+  snap->data = codec::Encode(img);
   snap->items = items;
   return SnapshotPtr(std::move(snap));
 }
 
 Status QueueMachine::Restore(const Snapshot& snap) {
-  Decoder dec(snap.data);
-  auto nt = dec.GetU64();
-  if (!nt.ok()) return nt.status();
+  Image img;
+  if (Status s = codec::ReadAll(Decoder(snap.data), img); !s.ok()) return s;
   std::map<std::string, std::deque<std::string>> topics;
   size_t total = 0;
   size_t bytes = 0;
-  for (uint64_t i = 0; i < *nt; ++i) {
-    auto topic = dec.GetString();
-    if (!topic.ok()) return topic.status();
-    auto ne = dec.GetU64();
-    if (!ne.ok()) return ne.status();
-    auto& q = topics[*topic];
-    for (uint64_t j = 0; j < *ne; ++j) {
-      auto e = dec.GetString();
-      if (!e.ok()) return e.status();
-      bytes += EventBytes(*topic, *e);
-      q.push_back(std::move(*e));
-      ++total;
-    }
-  }
-  auto ns = dec.GetU64();
-  if (!ns.ok()) return ns.status();
-  std::map<uint64_t, Session> sessions;
-  for (uint64_t i = 0; i < *ns; ++i) {
-    auto id = dec.GetU64();
-    if (!id.ok()) return id.status();
-    auto seq = dec.GetU64();
-    if (!seq.ok()) return seq.status();
-    auto code = dec.GetU8();
-    if (!code.ok()) return code.status();
-    auto payload = dec.GetString();
-    if (!payload.ok()) return payload.status();
-    Session s;
-    s.last_seq = *seq;
-    s.last_result.status = Status(static_cast<Code>(*code));
-    s.last_result.payload = std::move(*payload);
-    sessions.emplace(*id, std::move(s));
+  for (auto& [topic, events] : img.topics) {
+    for (const auto& e : events.items) bytes += EventBytes(topic, e);
+    total += events.items.size();
+    topics.emplace(topic, std::move(events.items));
   }
   range_ = snap.range;
   topics_ = std::move(topics);
-  sessions_ = std::move(sessions);
+  sessions_ = std::move(img.sessions);
   total_events_ = total;
   approx_bytes_ = bytes;
   return OkStatus();

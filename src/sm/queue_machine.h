@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 
+#include "common/codec.h"
 #include "sm/state_machine.h"
 
 namespace recraft::sm {
@@ -24,6 +25,7 @@ enum class QueueOp : uint8_t {
   kPeek = 2,     // read-only: the head without popping
   kLen = 3,      // read-only: decimal queue length
 };
+constexpr QueueOp EnumLast(QueueOp) { return QueueOp::kLen; }
 
 /// Format tag leading every queue command body.
 inline constexpr uint8_t kQueueCommandFormat = 0x51;  // 'Q'
@@ -76,7 +78,14 @@ class QueueMachine final : public StateMachine {
   struct Session {
     uint64_t last_seq = 0;
     CmdResult last_result;
+
+    template <class Io>
+    friend void Walk(Io& io, Session& s) {
+      io(s.last_seq, codec::CodeOnly(s.last_result.status),
+         s.last_result.payload);
+    }
   };
+  struct Image;  // the serialized state (queue_machine.cpp)
 
   CmdResult Execute(const QueueRequest& req);
   void Prune(const KeyRange& keep);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <variant>
 
 #include "common/logging.h"
 #include "storage/codec.h"
@@ -13,10 +14,115 @@
 namespace recraft::storage {
 
 namespace {
+
 constexpr char kWalFile[] = "wal";
 constexpr char kExMetaFile[] = "exmeta";
 constexpr size_t kRecordHeaderBytes = 8;  // u32 len + u32 crc
+
+// WAL record bodies besides HardState and an appended raft::LogEntry.
+struct TruncateFrom {
+  Index index = 0;
+};
+struct Reset {
+  Index base = 0;
+  uint64_t term = 0;
+};
+struct CompactTo {
+  Index index = 0;
+  uint64_t term = 0;
+};
+struct SnapInstalled {
+  uint32_t gen = 0;
+  Index index = 0;
+  uint64_t term = 0;
+};
+
+template <class Io>
+void Walk(Io& io, TruncateFrom& r) {
+  io(r.index);
+}
+template <class Io>
+void Walk(Io& io, Reset& r) {
+  io(r.base, r.term);
+}
+template <class Io>
+void Walk(Io& io, CompactTo& r) {
+  io(r.index, r.term);
+}
+template <class Io>
+void Walk(Io& io, SnapInstalled& r) {
+  io(r.gen, r.index, r.term);
+}
+
+using WalRecord = std::variant<HardState, raft::LogEntry, TruncateFrom,
+                               Reset, CompactTo, SnapInstalled>;
+
+// Record types: part of the durable format; append-only.
+using WalRecordTags =
+    codec::TagTable<WalRecord, codec::Tag<1, HardState>,
+                    codec::Tag<2, raft::LogEntry>,
+                    codec::Tag<3, TruncateFrom>, codec::Tag<4, Reset>,
+                    codec::Tag<5, CompactTo>, codec::Tag<6, SnapInstalled>>;
+
+template <class... F>
+struct Overloaded : F... {
+  using F::operator()...;
+};
+template <class... F>
+Overloaded(F...) -> Overloaded<F...>;
+
+/// One WAL record: [u32 len][u32 crc32(payload)][payload = type + fields].
+template <class R>
+std::vector<uint8_t> FrameRecord(const R& rec) {
+  const auto body = codec::Tagged<WalRecordTags>(rec);
+  const auto len = static_cast<uint32_t>(codec::Size(body));
+  Encoder enc;
+  enc.Reserve(kRecordHeaderBytes + len);
+  codec::Write(enc, len, uint32_t{0}, body);
+  std::vector<uint8_t> frame = enc.Take();
+  const uint32_t crc = Crc32(frame.data() + kRecordHeaderBytes, len);
+  std::memcpy(frame.data() + 4, &crc, sizeof(crc));
+  return frame;
+}
+
+// What a log record does to the durable model, live and on replay.
+template <class Model>
+void Apply(Model& m, const TruncateFrom& r) {
+  while (!m.entries.empty() && m.entries.back().index >= r.index) {
+    m.entries.PopBack();
+  }
+}
+template <class Model>
+void Apply(Model& m, const CompactTo& r) {
+  while (!m.entries.empty() && m.entries.front().index <= r.index) {
+    m.entries.PopFront();
+  }
+  m.base_index = r.index;
+  m.base_term = r.term;
+}
+template <class Model>
+void Apply(Model& m, const Reset& r) {
+  m.entries.Clear();
+  m.base_index = r.base;
+  m.base_term = r.term;
+}
+
 }  // namespace
+
+template <class Io>
+void Walk(Io& io, HardState& hs) {
+  io(hs.term, hs.voted_for, hs.commit);
+}
+
+template <class Io>
+void Walk(Io& io, ExchangeGcImage& gc) {
+  io(gc.tx, gc.resumed, gc.targets, gc.done, gc.self_done);
+}
+
+template <class Io>
+void Walk(Io& io, ExchangeMeta& meta) {
+  io(meta.pending_plan, meta.gc);
+}
 
 WalStorage::WalStorage(std::shared_ptr<Disk> disk, net::Clock* clock,
                        Options opts)
@@ -45,18 +151,8 @@ std::string WalStorage::SealFile(TxId tx, int source) {
 
 size_t WalStorage::wal_file_bytes() const { return wal_len_; }
 
-std::vector<uint8_t> WalStorage::FrameRecord(const Encoder& payload) {
-  const auto& body = payload.buffer();
-  Encoder frame;
-  frame.PutU32(static_cast<uint32_t>(body.size()));
-  frame.PutU32(Crc32(body));
-  std::vector<uint8_t> out = frame.Take();
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
-}
-
-void WalStorage::AppendRecord(const Encoder& payload, bool force_sync) {
-  std::vector<uint8_t> frame = FrameRecord(payload);
+void WalStorage::AppendFrame(const std::vector<uint8_t>& frame,
+                             bool force_sync) {
   pending_record_offsets_.push_back(wal_len_);
   wal_len_ += frame.size();
   disk_->Append(kWalFile, frame);
@@ -138,52 +234,33 @@ Index WalStorage::DurableIndex() const {
 
 void WalStorage::OnLogAppend(const raft::EntryRef& e) {
   assert(e->index == model_.last_index() + 1);
-  Encoder enc;
-  enc.PutU8(kRecAppend);
-  EncodeLogEntry(enc, *e);
   model_.entries.PushShared(e);  // mirror by slab reference, no deep copy
   ++stats_.entry_records;
-  AppendRecord(enc, /*force_sync=*/false);
+  AppendFrame(FrameRecord(*e), /*force_sync=*/false);
 }
 
 void WalStorage::OnLogTruncateFrom(Index i) {
-  Encoder enc;
-  enc.PutU8(kRecTruncateFrom);
-  enc.PutU64(i);
-  while (!model_.entries.empty() && model_.entries.back().index >= i) {
-    model_.entries.PopBack();
-  }
+  const TruncateFrom rec{i};
+  Apply(model_, rec);
   durable_index_ = std::min(durable_index_, model_.last_index());
-  AppendRecord(enc, /*force_sync=*/false);
+  AppendFrame(FrameRecord(rec), /*force_sync=*/false);
 }
 
 void WalStorage::OnLogCompactTo(Index i, uint64_t term) {
-  Encoder enc;
-  enc.PutU8(kRecCompactTo);
-  enc.PutU64(i);
-  enc.PutU64(term);
-  while (!model_.entries.empty() && model_.entries.front().index <= i) {
-    model_.entries.PopFront();
-  }
-  model_.base_index = i;
-  model_.base_term = term;
+  const CompactTo rec{i, term};
+  Apply(model_, rec);
   // Entries at or below the compaction point are covered by the snapshot
   // blob (installed synchronously before the log compacts).
   durable_index_ = std::max(durable_index_, i);
-  AppendRecord(enc, /*force_sync=*/false);
+  AppendFrame(FrameRecord(rec), /*force_sync=*/false);
   MaybeRewriteWal();
 }
 
 void WalStorage::OnLogReset(Index base, uint64_t term) {
-  Encoder enc;
-  enc.PutU8(kRecReset);
-  enc.PutU64(base);
-  enc.PutU64(term);
-  model_.entries.Clear();
-  model_.base_index = base;
-  model_.base_term = term;
+  const Reset rec{base, term};
+  Apply(model_, rec);
   durable_index_ = base;
-  AppendRecord(enc, /*force_sync=*/false);
+  AppendFrame(FrameRecord(rec), /*force_sync=*/false);
   MaybeRewriteWal();
 }
 
@@ -195,20 +272,14 @@ void WalStorage::PersistHardState(const HardState& hs) {
   bool sync = hs.term != model_.hard.term ||
               hs.voted_for != model_.hard.voted_for;
   model_.hard = hs;
-  Encoder enc;
-  enc.PutU8(kRecHardState);
-  enc.PutU64(hs.term);
-  enc.PutU32(hs.voted_for);
-  enc.PutU64(hs.commit);
-  AppendRecord(enc, sync);
+  AppendFrame(FrameRecord(hs), sync);
 }
 
 void WalStorage::InstallSnapshot(const raft::RaftSnapshotPtr& snap) {
   assert(snap != nullptr);
   uint32_t gen = model_.snap_gen + 1;
-  Encoder blob;
-  EncodeRaftSnapshot(blob, *snap);
-  disk_->WriteAtomic(SnapFile(gen), blob.Take());  // durable before marker
+  // Durable before the marker record.
+  disk_->WriteAtomic(SnapFile(gen), codec::Encode(*snap));
   ++stats_.snapshots_written;
   if (gen > opts_.snapshots_to_keep) {
     disk_->Delete(SnapFile(gen - opts_.snapshots_to_keep));
@@ -216,23 +287,18 @@ void WalStorage::InstallSnapshot(const raft::RaftSnapshotPtr& snap) {
   model_.snap_gen = gen;
   model_.snap_index = snap->last_index;
   model_.snap_term = snap->last_term;
-  Encoder enc;
-  enc.PutU8(kRecSnapInstalled);
-  enc.PutU32(gen);
-  enc.PutU64(snap->last_index);
-  enc.PutU64(snap->last_term);
   last_snap_record_off_ = wal_len_;
   // Deliberately batched: the window until the next flush is the
   // "crash between snapshot install and log truncation" crash point.
-  AppendRecord(enc, /*force_sync=*/false);
+  AppendFrame(FrameRecord(SnapInstalled{gen, snap->last_index,
+                                        snap->last_term}),
+              /*force_sync=*/false);
 }
 
 void WalStorage::PersistSealed(TxId tx, int source,
                                const sm::SnapshotPtr& snap) {
   assert(snap != nullptr);
-  Encoder enc;
-  EncodeSmSnapshot(enc, *snap);
-  disk_->WriteAtomic(SealFile(tx, source), enc.Take());
+  disk_->WriteAtomic(SealFile(tx, source), codec::Encode(*snap));
 }
 
 void WalStorage::PruneSealed(TxId tx) {
@@ -243,18 +309,7 @@ void WalStorage::PruneSealed(TxId tx) {
 }
 
 void WalStorage::PersistExchangeMeta(const ExchangeMeta& meta) {
-  Encoder enc;
-  enc.PutBool(meta.pending_plan.has_value());
-  if (meta.pending_plan) EncodeMergePlan(enc, *meta.pending_plan);
-  enc.PutU32(static_cast<uint32_t>(meta.gc.size()));
-  for (const auto& gc : meta.gc) {
-    enc.PutU64(gc.tx);
-    EncodeNodeVec(enc, gc.resumed);
-    EncodeNodeVec(enc, gc.targets);
-    EncodeNodeVec(enc, gc.done);
-    enc.PutBool(gc.self_done);
-  }
-  disk_->WriteAtomic(kExMetaFile, enc.Take());
+  disk_->WriteAtomic(kExMetaFile, codec::Encode(meta));
 }
 
 void WalStorage::WipeAll() {
@@ -273,39 +328,18 @@ std::vector<uint8_t> WalStorage::EncodeCheckpoint() const {
   // A compact, replayable equivalent of the live model: snapshot marker,
   // base reset, every live entry, final hard state.
   std::vector<uint8_t> out;
-  auto put = [&out](const Encoder& payload) {
-    std::vector<uint8_t> frame = FrameRecord(payload);
+  auto put = [&out](const auto& rec) {
+    std::vector<uint8_t> frame = FrameRecord(rec);
     out.insert(out.end(), frame.begin(), frame.end());
   };
   if (model_.snap_gen > 0) {
-    Encoder enc;
-    enc.PutU8(kRecSnapInstalled);
-    enc.PutU32(model_.snap_gen);
-    enc.PutU64(model_.snap_index);
-    enc.PutU64(model_.snap_term);
-    put(enc);
+    put(SnapInstalled{model_.snap_gen, model_.snap_index, model_.snap_term});
   }
-  {
-    Encoder enc;
-    enc.PutU8(kRecReset);
-    enc.PutU64(model_.base_index);
-    enc.PutU64(model_.base_term);
-    put(enc);
-  }
+  put(Reset{model_.base_index, model_.base_term});
   for (size_t i = 0; i < model_.entries.size(); ++i) {
-    Encoder enc;
-    enc.PutU8(kRecAppend);
-    EncodeLogEntry(enc, model_.entries.At(i));
-    put(enc);
+    put(model_.entries.At(i));
   }
-  {
-    Encoder enc;
-    enc.PutU8(kRecHardState);
-    enc.PutU64(model_.hard.term);
-    enc.PutU32(model_.hard.voted_for);
-    enc.PutU64(model_.hard.commit);
-    put(enc);
-  }
+  put(model_.hard);
   return out;
 }
 
@@ -398,107 +432,43 @@ Status WalStorage::ReplayWal(const std::vector<uint8_t>& bytes,
     if (len == 0) break;
     const uint8_t* body = bytes.data() + pos + kRecordHeaderBytes;
     if (Crc32(body, len) != crc) break;  // torn or rotted record
-    Decoder dec(body, len);
-    auto type = dec.GetU8();  // len > 0: always present
-    bool ok = true;
-    switch (*type) {
-      case kRecHardState: {
-        auto term = dec.GetU64();
-        auto vote = dec.GetU32();
-        auto commit = dec.GetU64();
-        if (!term.ok() || !vote.ok() || !commit.ok()) {
-          ok = false;
-          break;
-        }
-        model->hard = HardState{*term, *vote, *commit};
-        break;
-      }
-      case kRecAppend: {
-        auto e = DecodeLogEntry(dec);
-        if (!e.ok()) {
-          ok = false;
-          break;
-        }
-        // Defensive: an append below the current end implies a lost
-        // truncate record, which suffix-loss cannot produce — but recover
-        // by honoring the later write anyway.
-        while (!model->entries.empty() &&
-               model->entries.back().index >= e->index) {
-          model->entries.PopBack();
-        }
-        if (e->index != model->last_index() + 1) {
-          ok = false;  // gap: unreachable via suffix loss, treat as corrupt
-          break;
-        }
-        model->entries.PushOwned(std::move(*e));
-        ++stats_.replayed_entries;
-        break;
-      }
-      case kRecTruncateFrom: {
-        auto i = dec.GetU64();
-        if (!i.ok()) {
-          ok = false;
-          break;
-        }
-        while (!model->entries.empty() && model->entries.back().index >= *i) {
-          model->entries.PopBack();
-        }
-        break;
-      }
-      case kRecReset: {
-        auto base = dec.GetU64();
-        auto term = dec.GetU64();
-        if (!base.ok() || !term.ok()) {
-          ok = false;
-          break;
-        }
-        model->entries.Clear();
-        model->base_index = *base;
-        model->base_term = *term;
-        break;
-      }
-      case kRecCompactTo: {
-        auto i = dec.GetU64();
-        auto term = dec.GetU64();
-        if (!i.ok() || !term.ok()) {
-          ok = false;
-          break;
-        }
-        while (!model->entries.empty() &&
-               model->entries.front().index <= *i) {
-          model->entries.PopFront();
-        }
-        model->base_index = *i;
-        model->base_term = *term;
-        break;
-      }
-      case kRecSnapInstalled: {
-        auto gen = dec.GetU32();
-        auto idx = dec.GetU64();
-        auto term = dec.GetU64();
-        if (!gen.ok() || !idx.ok() || !term.ok()) {
-          ok = false;
-          break;
-        }
-        model->snap_gen = *gen;
-        model->snap_index = *idx;
-        model->snap_term = *term;
-        if (*idx > model->base_index) {
-          while (!model->entries.empty() &&
-                 model->entries.front().index <= *idx) {
-            model->entries.PopFront();
-          }
-          model->base_index = *idx;
-          model->base_term = *term;
-        }
-        last_snap_record_off_ = pos;
-        break;
-      }
-      default:
-        ok = false;
-        break;
-    }
-    if (!ok || !dec.AtEnd()) {
+    WalRecord rec;
+    const bool decoded =
+        codec::ReadAll(Decoder(body, len), codec::Tagged<WalRecordTags>(rec))
+            .ok();
+    const bool ok = decoded && std::visit(
+        Overloaded{
+            [model](const HardState& hs) {
+              model->hard = hs;
+              return true;
+            },
+            [this, model](raft::LogEntry& e) {
+              // Defensive: an append below the current end implies a lost
+              // truncate record, which suffix-loss cannot produce — but
+              // recover by honoring the later write anyway.
+              Apply(*model, TruncateFrom{e.index});
+              // A gap is unreachable via suffix loss: treat it as corrupt.
+              if (e.index != model->last_index() + 1) return false;
+              model->entries.PushOwned(std::move(e));
+              ++stats_.replayed_entries;
+              return true;
+            },
+            [this, model, pos](const SnapInstalled& r) {
+              model->snap_gen = r.gen;
+              model->snap_index = r.index;
+              model->snap_term = r.term;
+              if (r.index > model->base_index) {
+                Apply(*model, CompactTo{r.index, r.term});
+              }
+              last_snap_record_off_ = pos;
+              return true;
+            },
+            [model](const auto& log_record) {
+              Apply(*model, log_record);
+              return true;
+            }},
+        rec);
+    if (!ok) {
       // The record is intact as written, so it is not a torn write: it is
       // another format (an older build's) or a bug. Fail the load and keep
       // the file; cutting here would delete acknowledged records after it.
@@ -544,52 +514,50 @@ Result<BootImage> WalStorage::Load() {
   // fall back generation by generation (an injected divergence can leave a
   // blob the WAL never references — that one is simply ignored, while a
   // missing/corrupt referenced blob falls back to its predecessor plus the
-  // longer log retained in the WAL).
+  // longer log retained in the WAL). Only generations present on disk are
+  // tried, newest first: the WAL's generation number bounds the search, it
+  // is not a loop count. A blob is usable only if it decodes whole.
+  std::vector<uint32_t> gens;
+  for (const auto& name : disk_->List("snap-")) {
+    gens.push_back(
+        static_cast<uint32_t>(std::strtoul(name.c_str() + 5, nullptr, 10)));
+  }
+  std::sort(gens.rbegin(), gens.rend());
+  uint32_t gen = 0;
   raft::RaftSnapshotPtr snap;
-  uint32_t gen = m.snap_gen;
-  while (gen > 0) {
-    const auto& blob = disk_->ReadDurable(SnapFile(gen));
-    if (!blob.empty()) {
-      Decoder dec(blob);
-      auto decoded = DecodeRaftSnapshot(dec);
-      if (decoded.ok() && dec.AtEnd()) {
-        snap = std::make_shared<raft::RaftSnapshot>(std::move(*decoded));
-        break;
+  auto newest_readable = [&](uint32_t at_most) {
+    for (uint32_t g : gens) {
+      if (g == 0 || g > at_most) continue;
+      auto blob = std::make_shared<raft::RaftSnapshot>();
+      if (codec::ReadAll(Decoder(disk_->ReadDurable(SnapFile(g))), *blob)
+              .ok()) {
+        gen = g;
+        snap = std::move(blob);
+        return;
       }
     }
-    stats_.snapshot_fallback = true;
-    --gen;
-  }
-  if (m.snap_gen > 0 && snap == nullptr) {
-    // The WAL references a snapshot but no blob generation is readable:
-    // the log below the base is unrecoverable.
-    return Internal("wal: no readable snapshot blob for gen " +
-                    std::to_string(m.snap_gen));
-  }
-  if (snap == nullptr && bytes.empty()) {
+  };
+  if (m.snap_gen > 0) {
+    newest_readable(m.snap_gen);
+    stats_.snapshot_fallback = gen != m.snap_gen;
+    if (snap == nullptr) {
+      // The WAL references a snapshot but no blob generation is readable:
+      // the log below the base is unrecoverable.
+      return Internal("wal: no readable snapshot blob for gen " +
+                      std::to_string(m.snap_gen));
+    }
+  } else if (bytes.empty()) {
     // Empty (or fully torn) WAL: fall back to the newest readable blob so
     // a divergence injection right after a checkpoint cannot cause total
     // amnesia.
-    uint32_t best = 0;
-    for (const auto& name : disk_->List("snap-")) {
-      best = std::max(best, static_cast<uint32_t>(
-                                std::strtoul(name.c_str() + 5, nullptr, 10)));
-    }
-    while (best > 0) {
-      const auto& blob = disk_->ReadDurable(SnapFile(best));
-      Decoder dec(blob);
-      auto decoded = DecodeRaftSnapshot(dec);
-      if (!blob.empty() && decoded.ok() && dec.AtEnd()) {
-        snap = std::make_shared<raft::RaftSnapshot>(std::move(*decoded));
-        m.snap_gen = best;
-        m.snap_index = snap->last_index;
-        m.snap_term = snap->last_term;
-        m.base_index = snap->last_index;
-        m.base_term = snap->last_term;
-        stats_.snapshot_fallback = true;
-        break;
-      }
-      --best;
+    newest_readable(UINT32_MAX);
+    if (snap != nullptr) {
+      m.snap_gen = gen;
+      m.snap_index = snap->last_index;
+      m.snap_term = snap->last_term;
+      m.base_index = snap->last_index;
+      m.base_term = snap->last_term;
+      stats_.snapshot_fallback = true;
     }
   }
   if (snap != nullptr && snap->last_index < m.base_index) {
@@ -609,51 +577,32 @@ Result<BootImage> WalStorage::Load() {
     unsigned long long tx = 0;
     int src = -1;
     if (std::sscanf(name.c_str(), "seal-%llu-%d", &tx, &src) != 2) continue;
-    const auto& blob = disk_->ReadDurable(name);
-    Decoder dec(blob);
-    auto decoded = DecodeSmSnapshot(dec);
+    auto seal = std::make_shared<sm::Snapshot>();
     // Corrupt or foreign-format seal: peers still hold copies.
-    if (!decoded.ok() || !dec.AtEnd()) continue;
-    img.sealed[{static_cast<TxId>(tx), src}] =
-        std::make_shared<const sm::Snapshot>(std::move(*decoded));
+    if (!codec::ReadAll(Decoder(disk_->ReadDurable(name)), *seal).ok()) {
+      continue;
+    }
+    img.sealed[{static_cast<TxId>(tx), src}] = std::move(seal);
   }
 
-  // Exchange runtime metadata.
+  // Exchange runtime metadata. The file has no checksum, so a damaged blob
+  // is salvaged field by field in Walk(ExchangeMeta)'s order: a readable
+  // pending plan is kept even when the gc list after it is not (recovery
+  // resumes the snapshot exchange from the plan), and the gc list keeps
+  // its records before the first unreadable one.
   if (disk_->Exists(kExMetaFile)) {
     const auto& blob = disk_->ReadDurable(kExMetaFile);
     Decoder dec(blob);
-    auto has_plan = dec.GetBool();
-    if (has_plan.ok()) {
-      bool meta_ok = true;
-      if (*has_plan) {
-        auto plan = DecodeMergePlan(dec);
-        if (plan.ok()) {
-          img.exchange.pending_plan = std::move(*plan);
-        } else {
-          meta_ok = false;
-        }
-      }
-      auto ngc = dec.GetU32();
-      if (meta_ok && ngc.ok()) {
-        for (uint32_t i = 0; i < *ngc; ++i) {
-          ExchangeGcImage gc;
-          auto tx = dec.GetU64();
-          auto resumed = DecodeNodeVec(dec);
-          auto targets = DecodeNodeVec(dec);
-          auto done = DecodeNodeVec(dec);
-          auto self_done = dec.GetBool();
-          if (!tx.ok() || !resumed.ok() || !targets.ok() || !done.ok() ||
-              !self_done.ok()) {
-            break;
-          }
-          gc.tx = *tx;
-          gc.resumed = std::move(*resumed);
-          gc.targets = std::move(*targets);
-          gc.done = std::move(*done);
-          gc.self_done = *self_done;
-          img.exchange.gc.push_back(std::move(gc));
-        }
-      }
+    std::optional<raft::MergePlan> plan;
+    uint32_t ngc = 0;
+    if (codec::Read(dec, plan).ok()) {
+      img.exchange.pending_plan = std::move(plan);
+      if (!codec::Read(dec, ngc).ok()) ngc = 0;
+    }
+    for (uint32_t i = 0; i < ngc; ++i) {
+      ExchangeGcImage gc;
+      if (!codec::Read(dec, gc).ok()) break;
+      img.exchange.gc.push_back(std::move(gc));
     }
   }
 

@@ -32,8 +32,8 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "common/codec.h"
 #include "net/clock.h"
 #include "obs/trace.h"
 #include "storage/disk.h"
@@ -110,16 +110,6 @@ class WalStorage final : public Storage {
   }
 
  private:
-  // Record types — part of the durable format; append-only.
-  enum RecordType : uint8_t {
-    kRecHardState = 1,
-    kRecAppend = 2,
-    kRecTruncateFrom = 3,
-    kRecReset = 4,
-    kRecCompactTo = 5,
-    kRecSnapInstalled = 6,
-  };
-
   // In-memory mirror of the durable logical state, maintained so the WAL
   // can be checkpoint-rewritten compactly and DurableIndex tracked.
   struct Model {
@@ -136,8 +126,8 @@ class WalStorage final : public Storage {
   static std::string SnapFile(uint32_t gen);
   static std::string SealFile(TxId tx, int source);
 
-  static std::vector<uint8_t> FrameRecord(const Encoder& payload);
-  void AppendRecord(const Encoder& payload, bool force_sync);
+  /// Append one framed record (wal_storage.cpp's FrameRecord).
+  void AppendFrame(const std::vector<uint8_t>& frame, bool force_sync);
   void ArmFlush();
   /// Flush-timer body: honors the disk's injected fsync stall (re-poll
   /// until it clears) and latency spike (defer this batch once), so gray

@@ -134,28 +134,46 @@ TEST(RngTest, ChanceIsRoughlyCalibrated) {
 
 TEST(CodecTest, RoundTripAllTypes) {
   Encoder enc;
-  enc.PutU8(7);
-  enc.PutU32(123456);
-  enc.PutU64(0xdeadbeefcafeULL);
-  enc.PutBool(true);
-  enc.PutString("hello");
-  enc.PutString("");
-  Decoder dec(enc.buffer());
-  EXPECT_EQ(*dec.GetU8(), 7);
-  EXPECT_EQ(*dec.GetU32(), 123456u);
-  EXPECT_EQ(*dec.GetU64(), 0xdeadbeefcafeULL);
-  EXPECT_TRUE(*dec.GetBool());
-  EXPECT_EQ(*dec.GetString(), "hello");
-  EXPECT_EQ(*dec.GetString(), "");
-  EXPECT_TRUE(dec.AtEnd());
+  codec::Write(enc, uint8_t{7}, uint32_t{123456}, uint64_t{0xdeadbeefcafeULL},
+               true, std::string("hello"), std::string());
+  EXPECT_EQ(enc.size(), codec::Size(uint8_t{7}, uint32_t{123456},
+                                    uint64_t{0xdeadbeefcafeULL}, true,
+                                    std::string("hello"), std::string()));
+  uint8_t u8 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  bool b = false;
+  std::string hello;
+  std::string empty = "x";
+  EXPECT_TRUE(codec::ReadAll(Decoder(enc.buffer()), u8, u32, u64, b, hello,
+                             empty)
+                  .ok());
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(u32, 123456u);
+  EXPECT_EQ(u64, 0xdeadbeefcafeULL);
+  EXPECT_TRUE(b);
+  EXPECT_EQ(hello, "hello");
+  EXPECT_EQ(empty, "");
 }
 
 TEST(CodecTest, TruncationDetected) {
-  Encoder enc;
-  enc.PutU64(1);
-  std::vector<uint8_t> cut(enc.buffer().begin(), enc.buffer().begin() + 4);
-  Decoder dec(cut);
-  EXPECT_FALSE(dec.GetU64().ok());
+  const std::vector<uint8_t> bytes = codec::Encode(uint64_t{1});
+  std::vector<uint8_t> cut(bytes.begin(), bytes.begin() + 4);
+  uint64_t v = 0;
+  EXPECT_FALSE(codec::ReadAll(Decoder(cut), v).ok());
+}
+
+TEST(CodecTest, FirstErrorSticksAndCountsAreBounded) {
+  // A string claiming 2^32-1 bytes in an 8-byte input fails before any
+  // allocation, and the fields after it read as zero.
+  const std::vector<uint8_t> bytes = codec::Encode(uint32_t{0xffffffffu},
+                                                   uint32_t{5});
+  Decoder dec(bytes);
+  std::string s;
+  uint32_t after = 9;
+  EXPECT_FALSE(codec::Read(dec, s, after).ok());
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(after, 0u);
 }
 
 TEST(Metrics, LatencyPercentiles) {

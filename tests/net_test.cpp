@@ -229,6 +229,43 @@ TEST(WireCodec, EveryVariantRoundTrips) {
   }
 }
 
+TEST(WireCodec, RunsOfNoOpEntriesRoundTrip) {
+  // A NoOp entry is the smallest log entry (index, term and payload tag),
+  // and every election proposes one: a catch-up batch after many idle
+  // leader changes is all NoOps. The reader's count bound must admit it.
+  EXPECT_EQ(codec::MinSize<raft::LogEntry>(), 17u);
+  EXPECT_EQ(codec::Size(raft::LogEntry{}), 17u);
+  auto noops = [](size_t n) {
+    auto slab = std::make_shared<raft::EntrySlab>(n);
+    for (size_t i = 0; i < n; ++i) {
+      raft::LogEntry e;
+      e.index = i + 1;
+      e.term = i + 1;
+      slab->PushBack(std::move(e));
+    }
+    raft::EntrySpan span;
+    span.PushSegment(slab, 0, n);
+    return span;
+  };
+  for (size_t n : {1, 9, 11, 32, 128}) {
+    SCOPED_TRACE(std::to_string(n) + " NoOps");
+    raft::AppendEntries ae;
+    ae.entries = noops(n);
+    auto out = RoundTrip(raft::MakeMessage(std::move(ae)));
+    ASSERT_TRUE(out);
+    EXPECT_EQ(std::get<raft::AppendEntries>(*out).entries.size(), n);
+
+    raft::PullReply pr;
+    pr.entries = noops(n);
+    out = RoundTrip(raft::MakeMessage(std::move(pr)));
+    ASSERT_TRUE(out);
+    const auto& got = std::get<raft::PullReply>(*out).entries;
+    ASSERT_EQ(got.size(), n);
+    EXPECT_TRUE(std::holds_alternative<raft::NoOp>(got.back().payload));
+    EXPECT_EQ(got.back().term, n);
+  }
+}
+
 TEST(WireCodec, SnapshotCarriersChargeTheirEncodedLength) {
   // The variants whose size is dominated by snapshot and log payloads — the
   // bytes split and merge move between clusters — populated, so a counting
@@ -873,6 +910,37 @@ TEST_F(UdpTransportTest, TrailingBytesAreADecodeError) {
   // The same message without the extra byte is delivered.
   t1_->set_send_shim(nullptr);
   v.last_idx = 2;
+  t1_->Send(1, 2, raft::MakeMessage(v));
+  ASSERT_TRUE(PumpUntil([&] { return !got.empty(); }));
+  EXPECT_EQ(got, std::vector<uint64_t>{2});
+  EXPECT_EQ(metrics2_.counters().Get("net.decode_errors"), 1u);
+}
+
+TEST_F(UdpTransportTest, InflatedEntryCountIsADecodeError) {
+  // A crafted datagram claiming 2^32-1 entries must cost a decode error,
+  // not an allocation sized by the claim (which aborted the process).
+  Boot();
+  std::vector<uint64_t> got;
+  t2_->Bind(2, [&got](NodeId, const raft::Message& m, obs::TraceCtx) {
+    got.push_back(std::get<raft::AppendEntries>(m).commit);
+  });
+  // An entry-less AppendEntries ends with its u32 entry count and u64
+  // commit index, and a DATA frame's payload runs to the datagram's end.
+  t1_->set_send_shim([](NodeId to, std::vector<uint8_t> d,
+                        const net::UdpTransport::RawSendFn& forward) {
+    std::fill(d.end() - 12, d.end() - 8, 0xff);
+    forward(to, d);
+  });
+  raft::AppendEntries v;
+  v.commit = 1;
+  t1_->Send(1, 2, raft::MakeMessage(v));
+  ASSERT_TRUE(PumpUntil(
+      [&] { return metrics2_.counters().Get("net.decode_errors") == 1; }));
+  EXPECT_TRUE(got.empty());
+
+  // The transport keeps serving.
+  t1_->set_send_shim(nullptr);
+  v.commit = 2;
   t1_->Send(1, 2, raft::MakeMessage(v));
   ASSERT_TRUE(PumpUntil([&] { return !got.empty(); }));
   EXPECT_EQ(got, std::vector<uint64_t>{2});

@@ -123,17 +123,14 @@ TEST(StorageCodec, LogEntryPayloadsRoundTrip) {
   }
 
   for (const auto& e : entries) {
-    Encoder enc;
-    EncodeLogEntry(enc, e);
-    std::vector<uint8_t> bytes = enc.Take();
-    Decoder dec(bytes);
-    auto back = DecodeLogEntry(dec);
-    ASSERT_TRUE(back.ok()) << e.Describe();
-    EXPECT_TRUE(dec.AtEnd()) << e.Describe();
-    EXPECT_EQ(back->index, e.index);
-    EXPECT_EQ(back->term, e.term);
-    EXPECT_EQ(back->payload.index(), e.payload.index());
-    EXPECT_EQ(back->Describe(), e.Describe());
+    std::vector<uint8_t> bytes = codec::Encode(e);
+    EXPECT_EQ(bytes.size(), codec::Size(e));
+    raft::LogEntry back;
+    ASSERT_TRUE(codec::ReadAll(Decoder(bytes), back).ok()) << e.Describe();
+    EXPECT_EQ(back.index, e.index);
+    EXPECT_EQ(back.term, e.term);
+    EXPECT_EQ(back.payload.index(), e.payload.index());
+    EXPECT_EQ(back.Describe(), e.Describe());
   }
 }
 
@@ -169,12 +166,9 @@ TEST(StorageCodec, RaftSnapshotRoundTrip) {
   snap.history.push_back(rec);
   snap.unsettled_aborts[42] = SamplePlan();
 
-  Encoder enc;
-  EncodeRaftSnapshot(enc, snap);
-  std::vector<uint8_t> bytes = enc.Take();
-  Decoder dec(bytes);
-  auto back = DecodeRaftSnapshot(dec);
-  ASSERT_TRUE(back.ok());
+  std::vector<uint8_t> bytes = codec::Encode(snap);
+  auto back = std::make_optional<raft::RaftSnapshot>();
+  ASSERT_TRUE(codec::ReadAll(Decoder(bytes), *back).ok());
   EXPECT_EQ(back->last_index, snap.last_index);
   EXPECT_EQ(back->last_term, snap.last_term);
   ASSERT_NE(back->state, nullptr);
@@ -276,6 +270,58 @@ TEST(WalStorage, StateRoundTripsThroughRecovery) {
   ASSERT_EQ(img->exchange.gc.size(), 1u);
   EXPECT_TRUE(img->exchange.gc[0].self_done);
   EXPECT_FALSE(fresh.stats().tore_tail);
+}
+
+TEST(WalStorage, DamagedExchangeMetaKeepsWhatStillDecodes) {
+  // exmeta has no checksum. A damaged gc tail must not cost the pending
+  // plan that precedes it: recovery resumes the snapshot exchange from it.
+  auto disk = std::make_shared<SimDisk>();
+  WalStorage::Options wopts;
+  ExchangeMeta meta;
+  meta.pending_plan = SamplePlan();
+  for (TxId tx : {42, 43}) {
+    ExchangeGcImage gc;
+    gc.tx = tx;
+    gc.targets = {1, 2, 3};
+    meta.gc.push_back(gc);
+  }
+  WalStorage(disk, nullptr, wopts).PersistExchangeMeta(meta);
+  const std::vector<uint8_t> full = disk->ReadDurable("exmeta");
+  const size_t plan_end = codec::Size(meta.pending_plan);
+
+  struct Case {
+    const char* what;
+    size_t keep;     // bytes of the blob left after the damage
+    size_t want_gc;  // gc records still recovered
+  };
+  const Case cases[] = {
+      {"gc count cut", plan_end + 2, 0},
+      {"first gc record cut", plan_end + 4 + 3, 0},
+      {"second gc record cut", full.size() - 1, 1},
+      {"intact", full.size(), 2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    disk->WriteAtomic("exmeta", std::vector<uint8_t>(
+                                    full.begin(), full.begin() + c.keep));
+    auto img = WalStorage(disk, nullptr, wopts).Load();
+    ASSERT_TRUE(img.ok());
+    ASSERT_TRUE(img->exchange.pending_plan.has_value());
+    EXPECT_EQ(img->exchange.pending_plan->new_uid, 333u);
+    ASSERT_EQ(img->exchange.gc.size(), c.want_gc);
+    for (size_t i = 0; i < c.want_gc; ++i) {
+      EXPECT_EQ(img->exchange.gc[i].tx, meta.gc[i].tx);
+      EXPECT_EQ(img->exchange.gc[i].targets, meta.gc[i].targets);
+    }
+  }
+
+  // A plan that does not decode drops the whole blob.
+  disk->WriteAtomic("exmeta", std::vector<uint8_t>(full.begin(),
+                                                   full.begin() + plan_end - 1));
+  auto img = WalStorage(disk, nullptr, wopts).Load();
+  ASSERT_TRUE(img.ok());
+  EXPECT_FALSE(img->exchange.pending_plan.has_value());
+  EXPECT_TRUE(img->exchange.gc.empty());
 }
 
 TEST(WalStorage, SnapshotInstallAndCompactionSurviveRecovery) {
@@ -587,9 +633,8 @@ TEST(WalStorage, ReloadOnTheSameInstanceDoesNotCutAgain) {
 // One WAL frame ([u32 len][u32 crc][payload]) around `payload`, CRC valid.
 std::vector<uint8_t> Frame(const std::vector<uint8_t>& payload) {
   Encoder enc;
-  enc.PutU32(static_cast<uint32_t>(payload.size()));
-  enc.PutU32(Crc32(payload));
-  for (uint8_t b : payload) enc.PutU8(b);
+  codec::Write(enc, static_cast<uint32_t>(payload.size()), Crc32(payload));
+  enc.PutRaw(payload.data(), payload.size());
   return enc.Take();
 }
 
@@ -599,12 +644,10 @@ TEST(WalStorage, IntactButUndecodableRecordFailsLoadAndKeepsTheFile) {
   // write. Treating it as a torn tail would durably cut it and every
   // acknowledged record after it; the load must fail with the file intact.
   constexpr uint8_t kRecAppend = 2;  // WalStorage's append record type
-  Encoder trailing;
-  trailing.PutU8(kRecAppend);
-  EncodeLogEntry(trailing, KvEntry(4, 1, "k4", "v"));
-  trailing.PutU8(0);  // one byte the decoder does not consume
   const std::vector<std::vector<uint8_t>> bad_payloads = {
-      trailing.Take(), {0xEE} /* unknown record type */};
+      // one byte the decoder does not consume
+      codec::Encode(kRecAppend, KvEntry(4, 1, "k4", "v"), uint8_t{0}),
+      {0xEE} /* unknown record type */};
   for (const auto& bad : bad_payloads) {
     auto disk = std::make_shared<SimDisk>();
     {
@@ -614,10 +657,9 @@ TEST(WalStorage, IntactButUndecodableRecordFailsLoadAndKeepsTheFile) {
       }
     }
     disk->Append("wal", Frame(bad));
-    Encoder after;  // an acknowledged record behind the bad one
-    after.PutU8(kRecAppend);
-    EncodeLogEntry(after, KvEntry(4, 1, "k4", "v"));
-    disk->Append("wal", Frame(after.buffer()));
+    // An acknowledged record behind the bad one.
+    disk->Append("wal", Frame(codec::Encode(kRecAppend,
+                                            KvEntry(4, 1, "k4", "v"))));
     disk->Flush("wal");
     const std::vector<uint8_t> before = disk->ReadDurable("wal");
 
