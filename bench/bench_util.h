@@ -2,7 +2,8 @@
 // profile" world that approximates the paper's testbed (§VII): ~5 ms one-way
 // datacenter-ish latency (so a consensus step lands near the measured
 // 11.4 ms), bandwidth-limited snapshot transfers (Cinder-on-Ceph volumes are
-// slow), 512 B requests, 100 ms election timeouts.
+// slow), 512 B requests, 20 ms heartbeats under the core's fixed 100-200 ms
+// election timeout.
 #pragma once
 
 #include <cstdio>
@@ -20,10 +21,7 @@ inline harness::WorldOptions CloudProfile(uint64_t seed = 1) {
   o.net.base_latency = 5 * kMillisecond;
   o.net.jitter = 500;  // +/- 0.5 ms
   o.net.bandwidth_bytes_per_sec = 32ULL << 20;  // 32 MB/s volume-ish
-  o.node.tick_interval = 10 * kMillisecond;
-  o.node.heartbeat_ticks = 2;              // 20 ms heartbeats
-  o.node.election_timeout_min_ticks = 10;  // 100-200 ms
-  o.node.election_timeout_max_ticks = 20;
+  o.node.heartbeat_ticks = 2;  // 20 ms heartbeats
   return o;
 }
 

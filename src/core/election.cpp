@@ -89,7 +89,7 @@ void Node::HandleRequestVote(NodeId from, const raft::RequestVote& m) {
   // shortly after hearing from a live leader, so removed or partitioned
   // nodes cannot depose a healthy leader.
   if (leader_ != kNoNode && leader_ != from &&
-      ticks_since_heard_ < opts_.election_timeout_min_ticks) {
+      ticks_since_heard_ < kElectionTimeoutMinTicks) {
     raft::VoteReply reply;
     reply.et = term_;
     reply.from = id_;

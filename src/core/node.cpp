@@ -105,7 +105,7 @@ Node::Node(NodeId id, Options opts, storage::Storage& storage, Rng rng,
   ResetElectionTimer();
   // Stagger initial timeouts so the first election converges quickly.
   ticks_since_heard_ = static_cast<int>(rng_.Uniform(
-      0, static_cast<uint64_t>(opts_.election_timeout_min_ticks)));
+      0, static_cast<uint64_t>(kElectionTimeoutMinTicks)));
   MaybePersistHard();
 }
 
@@ -183,8 +183,8 @@ void Node::Send(NodeId to, raft::Message m) {
 void Node::ResetElectionTimer() {
   ticks_since_heard_ = 0;
   election_timeout_ = static_cast<int>(
-      rng_.Uniform(static_cast<uint64_t>(opts_.election_timeout_min_ticks),
-                   static_cast<uint64_t>(opts_.election_timeout_max_ticks)));
+      rng_.Uniform(static_cast<uint64_t>(kElectionTimeoutMinTicks),
+                   static_cast<uint64_t>(kElectionTimeoutMaxTicks)));
 }
 
 bool Node::CanCampaign() const {
@@ -301,7 +301,7 @@ void Node::TickBody() {
     }
     if (any_peer) {
       std::set<NodeId> live{id_};
-      int lease = 2 * opts_.election_timeout_max_ticks;
+      int lease = 2 * kElectionTimeoutMaxTicks;
       for (const auto& [peer, p] : progress_) {
         if (p.ticks_since_ack < lease) live.insert(peer);
       }

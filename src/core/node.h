@@ -40,10 +40,7 @@ using raft::EpochTerm;
 
 struct Options {
   Duration tick_interval = 10 * kMillisecond;
-  int heartbeat_ticks = 1;              // heartbeat every N ticks
-  int election_timeout_min_ticks = 10;  // randomized in [min, max]
-  int election_timeout_max_ticks = 20;
-  size_t max_entries_per_append = 128;
+  int heartbeat_ticks = 1;  // heartbeat every N ticks
   size_t max_inflight_appends = 16;  // per-follower pipelining depth
   /// Auto-propose ResizeQuorum after an Add/RemoveAndResize commits with a
   /// non-majority quorum (the paper presents them as separate RPCs; chaining
@@ -54,8 +51,6 @@ struct Options {
   /// Take a snapshot and compact the log every this many applied entries
   /// (0 disables automatic compaction).
   size_t snapshot_threshold = 0;
-  int pull_retry_ticks = 15;
-  int merge_retry_ticks = 10;    // 2PC and snapshot-exchange retransmission
   /// Ticks of total silence (no leader, failed elections, failed pulls)
   /// before falling back to the naming service (§V). 0 disables.
   int naming_fallback_ticks = 0;
@@ -81,14 +76,18 @@ struct Options {
   /// machine-agnostic; the harness injects the machine type world-wide
   /// (the KV machine by default, the queue machine, ...).
   sm::MachineFactory machine_factory;
-  /// Ticks between retransmissions of an unanswered ReadIndex probe round.
-  int read_probe_retry_ticks = 3;
   /// Armed flight recorder (obs/trace.h) shared by the whole world; null =
   /// disarmed. Strictly observational: the node emits trace records and
   /// opens protocol spans through it, but no recorded value ever feeds back
   /// into behavior, so the execution digest is identical either way.
   obs::Recorder* recorder = nullptr;
 };
+
+/// Election timeout, drawn uniformly from [min, max] ticks at every reset.
+inline constexpr int kElectionTimeoutMinTicks = 10;
+inline constexpr int kElectionTimeoutMaxTicks = 20;
+/// Ticks between retransmissions of 2PC and snapshot-exchange requests.
+inline constexpr int kMergeRetryTicks = 10;
 
 enum class Role : uint8_t { kFollower = 0, kCandidate, kLeader };
 const char* RoleName(Role r);

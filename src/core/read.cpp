@@ -26,6 +26,9 @@
 
 namespace recraft::core {
 
+// Ticks between retransmissions of an unanswered probe round.
+constexpr int kReadProbeRetryTicks = 3;
+
 void Node::HandleReadRequest(NodeId from, uint64_t req_id,
                              const raft::ReadRequest& m) {
   if (role_ != Role::kLeader) {
@@ -112,7 +115,7 @@ void Node::MaybeLaunchReadProbe() {
     return;
   }
   read_probe_inflight_ = true;
-  read_retry_countdown_ = opts_.read_probe_retry_ticks;
+  read_retry_countdown_ = kReadProbeRetryTicks;
   if (opts_.recorder != nullptr && read_span_ == 0) {
     read_span_ = opts_.recorder->BeginSpan(id_, obs::Name::kReadRound,
                                            cur_ctx_, read_seq_);
@@ -123,7 +126,7 @@ void Node::MaybeLaunchReadProbe() {
 void Node::ReadTick() {
   if (!read_probe_inflight_) return;
   if (--read_retry_countdown_ > 0) return;
-  read_retry_countdown_ = opts_.read_probe_retry_ticks;
+  read_retry_countdown_ = kReadProbeRetryTicks;
   counters_.Add(cid_.read_probe_retry);
   BroadcastReadProbe();
 }

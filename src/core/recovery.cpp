@@ -14,6 +14,7 @@ namespace recraft::core {
 
 namespace {
 constexpr int kMaxPullAttempts = 8;
+constexpr int kPullRetryTicks = 15;
 }
 
 void Node::StartPull(NodeId target) {
@@ -21,7 +22,7 @@ void Node::StartPull(NodeId target) {
   if (exchange_.has_value()) return;  // merge exchange has its own path
   if (pull_target_ == target && pull_countdown_ > 0) return;
   pull_target_ = target;
-  pull_countdown_ = opts_.pull_retry_ticks;
+  pull_countdown_ = kPullRetryTicks;
   pull_attempts_ = 0;
   // A candidate that is told to pull abandons its campaign (§III-B,
   // EnterElection returns FAILURE after pullLog).
@@ -57,7 +58,7 @@ void Node::PullTick() {
       if (members[next] != id_) pull_target_ = members[next];
     }
   }
-  pull_countdown_ = opts_.pull_retry_ticks;
+  pull_countdown_ = kPullRetryTicks;
   raft::PullRequest req;
   req.from = id_;
   req.epoch = current_et().epoch();
@@ -315,7 +316,7 @@ void Node::BootFromStorage(storage::BootImage img) {
     gc.targets = g.targets;
     gc.done.insert(g.done.begin(), g.done.end());
     gc.self_done = g.self_done;
-    gc.retry_countdown = opts_.merge_retry_ticks;
+    gc.retry_countdown = kMergeRetryTicks;
     exchange_gc_[g.tx] = std::move(gc);
   }
 

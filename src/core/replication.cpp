@@ -109,7 +109,8 @@ void Node::MaybeSendAppend(NodeId peer, bool force_empty) {
   // batch to every peer costs segment descriptors, not entry deep-copies.
   raft::EntrySpan entries;
   if (p.next <= cap) {
-    Index hi = std::min(cap, p.next + opts_.max_entries_per_append - 1);
+    constexpr size_t kMaxEntriesPerAppend = 128;
+    Index hi = std::min(cap, p.next + kMaxEntriesPerAppend - 1);
     entries = log_.Slice(p.next, hi);
   }
   if (entries.empty() && !force_empty) return;

@@ -70,6 +70,12 @@ class SafetyChecker {
 /// must not mutate twice) and returns the implied final state. Tests compare
 /// it against live stores: together with SafetyChecker's single-apply-order
 /// guarantee this witnesses linearizability of the KV service.
+///
+/// Because the replay dedups exactly as the store does, it cannot see a
+/// lost acknowledgement: a command the store wrongly answered from a
+/// session's cache is skipped by the replay too, so both agree. Only the
+/// client side knows what it saw acknowledged; the presence checks in
+/// workload_test and shard_test compare that set against the stores.
 class KvHistoryChecker {
  public:
   /// Replay commands; the result maps key -> value for keys within `range`.

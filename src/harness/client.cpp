@@ -137,12 +137,16 @@ void ClosedLoopClient::IssueNext() {
   round_.clear();
   round_.resize(opts_.batch_size);
   char buf[48];
-  for (PendingOp& op : round_) {
+  for (uint64_t slot = 0; slot < round_.size(); ++slot) {
+    PendingOp& op = round_[slot];
     uint64_t k = NextKey();
     std::snprintf(buf, sizeof(buf), "%s%08llu", opts_.key_prefix.c_str(),
                   static_cast<unsigned long long>(k));
     op.cmd.key = buf;
-    op.cmd.client_id = id_;
+    // One kv session per slot (slot 0 is the client id): ops of a round
+    // land in any order, and a session answers every seq at or below its
+    // high-water mark from cache, so it must never have two in flight.
+    op.cmd.client_id = (slot << 32) | id_;
     op.cmd.seq = next_seq_++;
     // Draw order is load-bearing for deterministic schedules: with the new
     // fractions at their 0 defaults this consumes exactly the historical
@@ -250,7 +254,10 @@ void ClosedLoopClient::OnRoundTimeout(uint64_t generation) {
   if (!running_ || generation != generation_) return;
   // Lost messages or a dead routing target: re-send everything still open
   // (same sequence numbers — the session layer deduplicates), dropping
-  // leader hints so another member gets probed.
+  // leader hints so another member gets probed. Refetch first: when every
+  // member of a cached group was freed and wiped, each answers NotLeader
+  // with no hint, so no reply would ever reveal that the map moved on.
+  router_.Refetch();
   for (size_t i = 0; i < round_.size(); ++i) {
     if (round_[i].done) continue;
     ++retries_;

@@ -4,14 +4,15 @@
 // it copies the World-hosted authority (the etcd-overlay stand-in) and
 // refetches when a reply proves the copy stale — a kWrongShard rejection,
 // or a successful reply whose serving range/epoch disagree with the cached
-// entry. The legacy manual mode (SetClusters/UpdateCluster) remains for
+// entry — and when a round times out. The legacy manual mode (SetClusters/UpdateCluster) remains for
 // tests and benches that steer routing by hand.
 //
 // ClosedLoopClient keeps a bounded round of outstanding requests (one per
 // round by default, as in the paper's etcd benchmark clients); rounds with
 // batch_size > 1 are grouped per shard so ops to the same group go out
-// back-to-back. Retries preserve sequence numbers, so the session layer
-// deduplicates re-executions.
+// back-to-back. Each slot of a round is its own kv session, so a session
+// never has two commands in flight. Retries preserve sequence numbers, so
+// the session layer deduplicates re-executions.
 #pragma once
 
 #include <functional>
@@ -89,7 +90,8 @@ struct ClientOptions {
   const uint64_t* key_offset = nullptr;
   /// Legacy read path: route gets/scans through the log as commands.
   bool reads_via_log = false;
-  /// Requests issued per round, grouped per shard. 1 = classic closed loop.
+  /// Requests issued per round, grouped per shard; each slot of the round is
+  /// its own kv session. 1 = classic closed loop.
   size_t batch_size = 1;
   /// Record a completion into this series (shared across clients for the
   /// throughput-over-time figures). May be null.

@@ -24,14 +24,8 @@ namespace recraft::harness {
 struct SweepOptions {
   /// Nemesis scenario preset; see NemesisMix::KnownMixes().
   std::string mix = "all";
-  size_t cluster_size = 5;
-  size_t spares = 2;         // churn-storm fodder
-  size_t clients = 4;
   /// Chaos window length, in node tick intervals (default tick = 10 ms).
   uint64_t chaos_ticks = 200;
-  Duration settle_timeout = 60 * kSecond;
-  uint64_t key_space = 512;
-  size_t value_bytes = 16;
   /// Corrupt the *checked history* (never the system) with one phantom
   /// write, so every world fails its store/history comparison: proves the
   /// catch -> repro-line -> deterministic-replay pipeline end to end.

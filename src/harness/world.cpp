@@ -41,22 +41,16 @@ World::World(WorldOptions opts)
     net_.set_recorder(opts_.recorder);
     opts_.node.recorder = opts_.recorder;
   }
-  if (opts_.with_naming_service) {
-    transport_.Bind(kNamingServiceId,
-                    [this](NodeId from, const raft::Message& m,
-                           obs::TraceCtx ctx) {
-                      if (const auto* reg =
-                              std::get_if<raft::NamingRegister>(&m)) {
-                        naming_.HandleRegister(*reg);
-                      } else if (std::get_if<raft::NamingLookupReq>(&m) !=
-                                 nullptr) {
-                        auto reply = raft::MakeMessage(
-                            raft::Message(naming_.Directory()));
-                        reply.set_trace_ctx(ctx);
-                        transport_.Send(kNamingServiceId, from, reply);
-                      }
-                    });
-  }
+  transport_.Bind(kNamingServiceId, [this](NodeId from, const raft::Message& m,
+                                           obs::TraceCtx ctx) {
+    if (const auto* reg = std::get_if<raft::NamingRegister>(&m)) {
+      naming_.HandleRegister(*reg);
+    } else if (std::get_if<raft::NamingLookupReq>(&m) != nullptr) {
+      auto reply = raft::MakeMessage(raft::Message(naming_.Directory()));
+      reply.set_trace_ctx(ctx);
+      transport_.Send(kNamingServiceId, from, reply);
+    }
+  });
   transport_.Bind(kAdminId, [this](NodeId, const raft::Message& m,
                                    obs::TraceCtx) {
     if (const auto* reply = std::get_if<raft::ClientReply>(&m)) {
@@ -84,7 +78,7 @@ storage::Storage& World::MakeStorage(NodeId id) {
   // A WAL reboot gets a fresh instance (CrashNode dropped the old one), so
   // recovery genuinely reparses the disk bytes.
   auto& disk = disks_[id];
-  if (disk == nullptr) disk = std::make_shared<storage::SimDisk>(opts_.disk);
+  if (disk == nullptr) disk = std::make_shared<storage::SimDisk>();
   auto wal = std::make_unique<storage::WalStorage>(disk, &clock_, opts_.wal);
   if (opts_.recorder != nullptr) wal->SetRecorder(opts_.recorder, id);
   backend = std::move(wal);
@@ -93,7 +87,7 @@ storage::Storage& World::MakeStorage(NodeId id) {
 
 void World::StartNode(NodeId id, Rng rng, raft::ConfigState genesis) {
   core::Options node_opts = opts_.node;
-  if (opts_.with_naming_service) node_opts.naming_service = kNamingServiceId;
+  node_opts.naming_service = kNamingServiceId;
   auto send = [this, id](NodeId to, raft::MessagePtr msg) {
     transport_.Send(id, to, msg);
   };

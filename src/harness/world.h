@@ -44,10 +44,8 @@ struct WorldOptions {
   core::Options node;  // template for every node created; if
                        // node.machine_factory is unset the World installs
                        // kv::KvMachineFactory (the default workload)
-  bool with_naming_service = true;
   StorageMode storage = StorageMode::kInMemory;
-  storage::WalStorage::Options wal;      // kWal only
-  storage::SimDisk::Options disk;        // kWal only
+  storage::WalStorage::Options wal;  // kWal only
   /// Arm the flight recorder (obs/trace.h): the World binds it to the sim
   /// clock and hands it to the network, every node and every WAL instance.
   /// Null = disarmed. Arming must not change the execution digest.

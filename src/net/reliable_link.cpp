@@ -36,7 +36,6 @@ ReliableLink::ReliableLink(NodeId self, uint64_t session, Options opts)
   if (opts_.window == 0) opts_.window = 1;
   if (opts_.max_payload == 0) opts_.max_payload = 1200;
   if (opts_.rto_initial == 0) opts_.rto_initial = kMillisecond;
-  if (opts_.rto_max < opts_.rto_initial) opts_.rto_max = opts_.rto_initial;
   if (opts_.max_transmissions == 0) opts_.max_transmissions = 1;
 }
 
@@ -283,7 +282,7 @@ void ReliableLink::OnTimer(TimePoint now, const EmitFn& emit) {
     ++counters_.retransmits;
     ++chunk.transmissions;
     chunk.sent_at = now;
-    chunk.rto = std::min(chunk.rto * 2, opts_.rto_max);
+    chunk.rto = std::min(chunk.rto * 2, std::max(kRtoMax, opts_.rto_initial));
     ++it;
   }
   // Retransmit after the abandonment sweep so every frame carries the

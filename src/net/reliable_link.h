@@ -8,7 +8,7 @@
 //   * cumulative + selective acks: every DATA received triggers an ACK
 //     carrying (highest in-order seq, bitmap of the 64 seqs above it),
 //   * retransmission with exponential backoff: unacked chunks retransmit at
-//     rto_initial, doubling up to rto_max, abandoned after
+//     rto_initial, doubling up to kRtoMax, abandoned after
 //     max_transmissions attempts (the peer is gone or has moved on),
 //   * a dedup window on the receive side: seqs at or below the cumulative
 //     point (or already buffered) are acked again and dropped,
@@ -54,9 +54,9 @@ class ReliableLink {
     /// Max chunk payload bytes per datagram (header excluded). Keeps each
     /// frame under a loopback/LAN-safe UDP size.
     size_t max_payload = 1200;
-    /// First retransmission timeout; doubles per retry up to rto_max.
+    /// First retransmission timeout; doubles per retry up to kRtoMax (or
+    /// stays at rto_initial if that is larger).
     Duration rto_initial = 50 * kMillisecond;
-    Duration rto_max = 2 * kSecond;
     /// In-flight chunk window. Capped at 64 (the SACK bitmap width).
     size_t window = 64;
     /// Give up on a chunk after this many transmissions (~50s at the
@@ -64,6 +64,9 @@ class ReliableLink {
     /// live receiver skips the gap instead of wedging.
     uint32_t max_transmissions = 30;
   };
+
+  /// Retransmission timeout ceiling.
+  static constexpr Duration kRtoMax = 2 * kSecond;
 
   struct Counters {
     uint64_t datagrams_sent = 0;     // DATA frames (first transmissions)

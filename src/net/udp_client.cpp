@@ -7,19 +7,14 @@
 namespace recraft::net {
 
 KvClient::KvClient(NodeId client_id, Phonebook book)
-    : KvClient(client_id, std::move(book), Options()) {}
-
-KvClient::KvClient(NodeId client_id, Phonebook book, Options opts)
-    : self_(client_id), book_(std::move(book)), opts_(opts) {
+    : self_(client_id), book_(std::move(book)) {
   targets_ = book_.ids();
   // If the phonebook also lists us (a client with a fixed port), don't try
   // to talk to ourselves.
   targets_.erase(std::remove(targets_.begin(), targets_.end(), self_),
                  targets_.end());
-  UdpTransport::Options topts;
-  topts.link = opts_.link;
-  transport_ = std::make_unique<UdpTransport>(self_, book_, &clock_,
-                                              &metrics_, topts);
+  transport_ =
+      std::make_unique<UdpTransport>(self_, book_, &clock_, &metrics_);
   transport_->Bind(self_, [this](NodeId, const raft::Message& m,
                                  obs::TraceCtx) {
     if (const auto* reply = std::get_if<raft::ClientReply>(&m)) {
@@ -92,8 +87,9 @@ kv::Response KvClient::Do(kv::Command cmd, Duration timeout) {
     NodeId target = targets_[target_ix];
     transport_->Send(self_, target, msg);
 
+    constexpr Duration kAttemptTimeout = 250 * kMillisecond;
     TimePoint attempt_deadline =
-        std::min(deadline, clock_.Now() + opts_.attempt_timeout);
+        std::min(deadline, clock_.Now() + kAttemptTimeout);
     bool move_on = false;  // rotate targets at attempt end
     while (!move_on && clock_.Now() < attempt_deadline) {
       Pump(/*timeout_ms=*/10);

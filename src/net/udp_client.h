@@ -33,16 +33,9 @@ namespace recraft::net {
 
 class KvClient {
  public:
-  struct Options {
-    /// Per-attempt reply wait before rotating to another node.
-    Duration attempt_timeout = 250 * kMillisecond;
-    ReliableLink::Options link;
-  };
-
   /// `client_id` must not collide with any server id in `book` (servers
   /// key reliable links by peer id). `book` lists the cluster to talk to.
-  KvClient(NodeId client_id, Phonebook book, Options opts);
-  KvClient(NodeId client_id, Phonebook book);  // default Options
+  KvClient(NodeId client_id, Phonebook book);
 
   /// Socket state; a failed bind makes every Do() return it.
   const Status& status() const { return transport_->status(); }
@@ -66,7 +59,6 @@ class KvClient {
   NodeId self_;
   Phonebook book_;
   std::vector<NodeId> targets_;
-  Options opts_;
   MetricRegistry metrics_;
   SystemClock clock_;
   std::unique_ptr<UdpTransport> transport_;

@@ -33,8 +33,6 @@ PlacementDriver::ShardMetrics PlacementDriver::MetricsOf(
     m.keys = world_.node(probe).machine().Size();
     m.bytes = world_.node(probe).machine().ApproxBytes();
   }
-  auto it = ops_since_step_.find(s.id);
-  if (it != ops_since_step_.end()) m.ops = it->second;
   return m;
 }
 
@@ -59,12 +57,9 @@ std::vector<NodeId> PlacementDriver::TakeSpares(size_t n) {
 
 void PlacementDriver::ReleaseFreed(const std::vector<NodeId>& freed) {
   for (NodeId id : freed) {
-    if (opts_.recycle_freed) {
-      // Best effort: a node that cannot be wiped right now (e.g. crashed)
-      // is simply not pooled; splits fall back to fresh spares.
-      if (!world_.WipeNode(id).ok()) continue;
-    }
-    spares_.push_back(id);
+    // Best effort: a node that cannot be wiped right now (e.g. crashed) is
+    // simply not pooled; splits fall back to fresh spares.
+    if (world_.WipeNode(id).ok()) spares_.push_back(id);
   }
 }
 
@@ -117,9 +112,11 @@ Status PlacementDriver::SplitShard(ShardId id, std::string split_key) {
   if (shard.range.CompareKey(split_key) != 0 || split_key == shard.range.lo()) {
     return Rejected("split key not strictly inside " + shard.range.ToString());
   }
+  // Staff both halves at the target group size from spares.
+  constexpr size_t kNodesPerShard = 3;
   std::vector<NodeId> extra;
-  if (shard.members.size() < 2 * opts_.nodes_per_shard) {
-    extra = TakeSpares(2 * opts_.nodes_per_shard - shard.members.size());
+  if (shard.members.size() < 2 * kNodesPerShard) {
+    extra = TakeSpares(2 * kNodesPerShard - shard.members.size());
   }
   auto res = rb_.Split(shard, split_key, extra);
   if (!res.ok()) {
@@ -145,7 +142,6 @@ Status PlacementDriver::SplitShard(ShardId id, std::string split_key) {
   delta.remove = {id};
   delta.add = res->shards;
   if (Status s = map_.Apply(delta); !s.ok()) return s;
-  ops_since_step_.erase(id);
   ReleaseFreed(res->freed);
   ++splits_done_;
   return OkStatus();
@@ -175,8 +171,6 @@ Status PlacementDriver::MergeShards(ShardId left_id, ShardId right_id) {
   delta.remove = {left_id, right_id};
   delta.add = res->shards;
   if (Status s = map_.Apply(delta); !s.ok()) return s;
-  ops_since_step_.erase(left_id);
-  ops_since_step_.erase(right_id);
   ReleaseFreed(res->freed);
   ++merges_done_;
   return OkStatus();
@@ -206,19 +200,15 @@ PlacementDriver::StepReport PlacementDriver::Step() {
   }
 
   // -- split pass: the biggest shard over a threshold ----------------------
-  if (map_.size() < opts_.max_shards &&
-      (opts_.split_threshold_keys > 0 || opts_.split_threshold_ops > 0)) {
+  if (map_.size() < opts_.max_shards && opts_.split_threshold_keys > 0) {
     ShardId pick = kNoShard;
     size_t pick_keys = 0;
     for (const ShardInfo& s : map_.Shards()) {
-      ShardMetrics m = MetricsOf(s);
-      bool hot = (opts_.split_threshold_keys > 0 &&
-                  m.keys >= opts_.split_threshold_keys) ||
-                 (opts_.split_threshold_ops > 0 &&
-                  m.ops >= opts_.split_threshold_ops);
-      if (hot && (pick == kNoShard || m.keys > pick_keys)) {
+      size_t keys = MetricsOf(s).keys;
+      if (keys >= opts_.split_threshold_keys &&
+          (pick == kNoShard || keys > pick_keys)) {
         pick = s.id;
-        pick_keys = m.keys;
+        pick_keys = keys;
       }
     }
     if (pick != kNoShard) {

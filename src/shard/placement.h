@@ -1,5 +1,5 @@
-// The placement driver: the policy loop that turns per-shard size/load
-// metrics into split and merge decisions and drives them through a
+// The placement driver: the policy loop that turns per-shard size metrics
+// into split and merge decisions and drives them through a
 // Rebalancer (native ReCraft or the TC baseline), updating the hosted
 // shard map with an atomic delta after each completed operation. Freed
 // nodes are wiped and pooled as spares that staff future splits, so a
@@ -21,17 +21,10 @@ struct PlacementOptions {
   /// Split a shard once its group holds at least this many keys (0 = size
   /// never triggers a split).
   size_t split_threshold_keys = 4096;
-  /// Split a shard once it served at least this many ops since the last
-  /// Step (0 = load never triggers a split).
-  uint64_t split_threshold_ops = 0;
   /// Merge an adjacent pair whose combined key count is at most this.
   size_t merge_threshold_keys = 512;
   size_t min_shards = 1;
   size_t max_shards = 64;
-  /// Target group size; splits take spares to staff both halves at this.
-  size_t nodes_per_shard = 3;
-  /// Wipe freed nodes back to blank spares before pooling them.
-  bool recycle_freed = true;
 };
 
 class PlacementDriver {
@@ -39,7 +32,8 @@ class PlacementDriver {
   PlacementDriver(harness::World& world, ShardMap& map, Rebalancer& rb,
                   PlacementOptions opts = {});
 
-  /// Load-accounting hook; wire it to ClientOptions::on_op_complete.
+  /// Load-accounting hook; wire it to ClientOptions::on_op_complete. The
+  /// counts feed the `shard.<id>.ops` counters, not split decisions.
   void RecordOp(const std::string& key);
 
   struct StepReport {
@@ -65,7 +59,6 @@ class PlacementDriver {
   struct ShardMetrics {
     size_t keys = 0;
     size_t bytes = 0;  // machine ApproxBytes() at the probed replica
-    uint64_t ops = 0;  // since the last Step
   };
 
   /// Refresh the registry from the live shard map: per-shard keys/bytes

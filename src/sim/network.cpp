@@ -76,7 +76,8 @@ Duration Network::DeliveryDelay(NodeId from, NodeId to, size_t bytes) {
   }
   if (!overridden) {
     if (from == to) {
-      base = opts_.loopback_latency;
+      constexpr Duration kLoopbackLatency = 10;
+      base = kLoopbackLatency;
     } else {
       base = opts_.base_latency;
       if (opts_.jitter > 0) base += rng_.Uniform(0, 2 * opts_.jitter);

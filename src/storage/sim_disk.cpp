@@ -8,12 +8,12 @@ namespace recraft::storage {
 const std::vector<uint8_t> SimDisk::kEmpty{};
 
 void SimDisk::ChargeWrite(size_t bytes) {
-  stats_.io_busy += opts_.fsync_latency + extra_fsync_latency_;
-  if (opts_.throughput_bytes_per_sec > 0) {
-    stats_.io_busy += static_cast<Duration>(
-        (static_cast<unsigned __int128>(bytes) * kSecond) /
-        opts_.throughput_bytes_per_sec);
-  }
+  constexpr Duration kFsyncLatency = 100;  // per flush
+  constexpr uint64_t kThroughputBytesPerSec = 512ull << 20;  // sequential
+  stats_.io_busy += kFsyncLatency + extra_fsync_latency_;
+  stats_.io_busy += static_cast<Duration>(
+      (static_cast<unsigned __int128>(bytes) * kSecond) /
+      kThroughputBytesPerSec);
 }
 
 void SimDisk::Append(const std::string& file,

@@ -25,14 +25,6 @@ namespace recraft::storage {
 
 class SimDisk final : public Disk {
  public:
-  struct Options {
-    Duration fsync_latency = 100;                       // per flush, us
-    uint64_t throughput_bytes_per_sec = 512ull << 20;   // sequential write
-  };
-
-  SimDisk() : SimDisk(Options()) {}
-  explicit SimDisk(Options opts) : opts_(opts) {}
-
   /// Append bytes to a file's pending region (not durable until Flush).
   void Append(const std::string& file,
               const std::vector<uint8_t>& bytes) override;
@@ -99,7 +91,6 @@ class SimDisk final : public Disk {
 
   void ChargeWrite(size_t bytes);
 
-  Options opts_;
   std::map<std::string, File> files_;
   Stats stats_;
   Duration extra_fsync_latency_ = 0;

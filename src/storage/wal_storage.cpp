@@ -281,8 +281,9 @@ void WalStorage::InstallSnapshot(const raft::RaftSnapshotPtr& snap) {
   // Durable before the marker record.
   disk_->WriteAtomic(SnapFile(gen), codec::Encode(*snap));
   ++stats_.snapshots_written;
-  if (gen > opts_.snapshots_to_keep) {
-    disk_->Delete(SnapFile(gen - opts_.snapshots_to_keep));
+  constexpr uint32_t kSnapshotsToKeep = 2;  // for divergence recovery
+  if (gen > kSnapshotsToKeep) {
+    disk_->Delete(SnapFile(gen - kSnapshotsToKeep));
   }
   model_.snap_gen = gen;
   model_.snap_index = snap->last_index;

@@ -49,8 +49,6 @@ class WalStorage final : public Storage {
     /// Rewrite the WAL once its file is this much larger than the live
     /// state it encodes (dead records from compacted/overwritten history).
     size_t rewrite_slack_bytes = 256 * 1024;
-    /// Keep this many snapshot generations for divergence recovery.
-    uint32_t snapshots_to_keep = 2;
   };
 
   struct Stats {

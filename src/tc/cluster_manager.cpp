@@ -4,6 +4,11 @@
 
 namespace recraft::tc {
 
+constexpr Duration kTickInterval = 10 * kMillisecond;
+constexpr Duration kRetryInterval = 100 * kMillisecond;
+// Emulated time to restart a wiped node as a member of the new cluster.
+constexpr Duration kRestartDelay = 200 * kMillisecond;
+
 const char* CmPhaseName(CmPhase p) {
   switch (p) {
     case CmPhase::kIdle: return "idle";
@@ -32,13 +37,13 @@ ClusterManager::ClusterManager(harness::World& world, NodeId id,
       });
   // Self-rescheduling tick, frozen (but still re-armed) while crashed.
   tick_event_ =
-      world_.events().Schedule(opts_.tick_interval, [this]() { RearmTick(); });
+      world_.events().Schedule(kTickInterval, [this]() { RearmTick(); });
 }
 
 void ClusterManager::RearmTick() {
   if (!world_.IsCrashed(id_)) Tick();
   tick_event_ =
-      world_.events().Schedule(opts_.tick_interval, [this]() { RearmTick(); });
+      world_.events().Schedule(kTickInterval, [this]() { RearmTick(); });
 }
 
 ClusterManager::~ClusterManager() {
@@ -141,11 +146,11 @@ void ClusterManager::Tick() {
     }
     return;
   }
-  if (retry_countdown_ > opts_.tick_interval) {
-    retry_countdown_ -= opts_.tick_interval;
+  if (retry_countdown_ > kTickInterval) {
+    retry_countdown_ -= kTickInterval;
     return;
   }
-  retry_countdown_ = opts_.retry_interval;
+  retry_countdown_ = kRetryInterval;
   leader_hint_ = kNoNode;  // re-probe on retry
   SendCurrent();
 }
@@ -202,7 +207,7 @@ void ClusterManager::SplitAdvance() {
       // Bootstrap every node of the group, then hold for the restart delay.
       pending_acks_.clear();
       for (NodeId n : op.groups[group_cursor_]) pending_acks_.insert(n);
-      restart_ready_at_ = world_.now() + opts_.restart_delay;
+      restart_ready_at_ = world_.now() + kRestartDelay;
       SendCurrent();
       return;
     }
@@ -430,7 +435,7 @@ void ClusterManager::OnMessage(NodeId from, const raft::Message& m) {
         Advance();
       } else if (phase_ == CmPhase::kMergeRejoin) {
         ++node_cursor_;
-        retry_countdown_ = opts_.retry_interval;  // let the joiner settle
+        retry_countdown_ = kRetryInterval;  // let the joiner settle
         Advance();
       } else if (phase_ == CmPhase::kRangeChange) {
         RecordPhaseDuration();

@@ -25,10 +25,6 @@
 namespace recraft::tc {
 
 struct TcOptions {
-  Duration tick_interval = 10 * kMillisecond;
-  Duration retry_interval = 100 * kMillisecond;
-  /// Emulated time to restart a wiped node as a member of the new cluster.
-  Duration restart_delay = 200 * kMillisecond;
   /// Mixed into bootstrap identities and idempotency tokens. Callers that
   /// run many operations (the shard-plane rebalancer) pass a fresh salt per
   /// operation so a later op's BootstrapReq can never alias an earlier one.

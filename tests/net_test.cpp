@@ -452,7 +452,7 @@ TEST(ReliableLink, BackoffDoublesAndCaps) {
     EXPECT_EQ(dl, now + expect_rto) << "retry " << i;
     now = dl;
     link.OnTimer(now, emit);
-    expect_rto = std::min(expect_rto * 2, opts.rto_max);
+    expect_rto = std::min(expect_rto * 2, ReliableLink::kRtoMax);
   }
   EXPECT_EQ(link.counters().retransmits, 10u);
 }

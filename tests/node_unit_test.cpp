@@ -319,7 +319,7 @@ TEST(NodeUnit, LeaderStepsDownWithoutQuorumAcks) {
   h.node->Receive(2, grant);
   ASSERT_TRUE(h.node->IsLeader());
   // No follower ever acknowledges: CheckQuorum demotes the leader.
-  for (int i = 0; i < 2 * opts.election_timeout_max_ticks + 2; ++i) {
+  for (int i = 0; i < 2 * kElectionTimeoutMaxTicks + 2; ++i) {
     h.node->Tick();
   }
   EXPECT_FALSE(h.node->IsLeader());

@@ -2,6 +2,8 @@
 // version monotonicity, atomic deltas), wrong-shard retry in the routing
 // client, the placement driver over both Rebalancer implementations, and a
 // chaos test that rebalances while a client fleet runs.
+#include <set>
+
 #include "shard/placement.h"
 #include "tests/test_util.h"
 
@@ -169,6 +171,35 @@ TEST(ShardPlane, WrongShardRetryRefetchesMap) {
   EXPECT_EQ(router.fetched_version(), w.shard_map().version());
 }
 
+TEST(ShardPlane, RouteToWipedGroupHealsOnRoundTimeout) {
+  // A router caches the 2-shard map, then a merge frees one group and the
+  // driver wipes its nodes into blank spares. Those answer NotLeader with
+  // no hint and no serving range, so only the round timeout can notice.
+  World w(TestWorldOptions(28));
+  auto ids = w.BootstrapShards(2, 3, {"k00005000"});
+  ASSERT_TRUE(ids.ok());
+  harness::Router router(&w.shard_map());
+  shard::NativeRebalancer rb(w);
+  shard::PlacementDriver driver(w, w.shard_map(), rb);
+  auto before = w.shard_map().Shards();
+  ASSERT_TRUE(driver.MergeShards(before[0].id, before[1].id).ok());
+  ASSERT_EQ(w.shard_map().size(), 1u);
+  const std::vector<NodeId> kept = w.shard_map().Shards().front().members;
+  const ShardInfo& freed = before[0].members == kept ? before[1] : before[0];
+  ASSERT_NE(freed.members, kept);
+
+  harness::ClientOptions copts;
+  // Every key falls in the freed group's old range.
+  copts.key_prefix = freed.range.lo().empty() ? "a" : "kz";
+  copts.value_bytes = 32;
+  harness::ClosedLoopClient client(w, router, harness::kFirstClientId, copts);
+  client.Start();
+  w.RunFor(3 * kSecond);
+  client.Stop();
+  EXPECT_GT(client.ops_done(), 100u);
+  EXPECT_EQ(router.fetched_version(), w.shard_map().version());
+}
+
 TEST(ShardPlane, NodeRejectsWrongShardWithServingRange) {
   World w(TestWorldOptions(22));
   auto ids = w.BootstrapShards(2, 3, {"m"});
@@ -288,8 +319,10 @@ TEST(ShardPlane, RebalanceChaosUnderClientLoad) {
   copts.key_space = 6000;
   copts.value_bytes = 64;
   copts.batch_size = 2;
+  std::set<std::string> acked;  // every op is a put
   copts.on_op_complete = [&](const std::string& key, TimePoint) {
     driver.RecordOp(key);
+    acked.insert(key);
   };
   harness::ClientFleet fleet(w, router, 8, copts);
   fleet.Start();
@@ -325,6 +358,41 @@ TEST(ShardPlane, RebalanceChaosUnderClientLoad) {
     EXPECT_TRUE(ps.ok()) << s.ToString() << ": " << ps.ToString()
                          << "; live cfg "
                          << w.ConfigOf(s.members).ToString();
+  }
+
+  // No acknowledged write was lost across the splits and merges: every key
+  // a client saw acknowledged is on every replica of the shard that owns it
+  // now. (The history checker replays with the store's own dedup, so it
+  // cannot see an ack answered from another command's cached result.)
+  auto shards = w.shard_map().Shards();
+  ASSERT_TRUE(w.RunUntil(
+      [&]() {
+        for (const ShardInfo& s : shards) {
+          NodeId l = w.LeaderOf(s.members);
+          if (l == kNoNode) return false;
+          for (NodeId id : s.members) {
+            if (w.node(id).last_applied() < w.node(l).commit_index()) {
+              return false;
+            }
+          }
+        }
+        return true;
+      },
+      20 * kSecond));
+  ASSERT_GT(acked.size(), 200u);
+  for (const ShardInfo& s : shards) {
+    for (NodeId id : s.members) {
+      const kv::Store& store = harness::KvStoreOf(w.node(id));
+      size_t owned = 0, missing = 0;
+      for (const std::string& key : acked) {
+        if (!s.range.Contains(key)) continue;
+        ++owned;
+        if (!store.Get(key).ok()) ++missing;
+      }
+      EXPECT_EQ(missing, 0u) << s.ToString() << " node " << id << " lacks "
+                             << missing << " of " << owned
+                             << " acknowledged keys";
+    }
   }
 }
 

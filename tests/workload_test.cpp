@@ -1,6 +1,8 @@
 // Client-facing behaviour under load and reconfiguration: the router, the
 // closed-loop client fleet, retry/dedup semantics, and KV-history
 // linearizability witnessed across splits and merges.
+#include <set>
+
 #include "tests/test_util.h"
 
 namespace recraft::test {
@@ -73,34 +75,66 @@ TEST(Workload, FleetSurvivesLeaderCrash) {
 
 TEST(Workload, SessionsPreventDoubleApplicationUnderRetry) {
   // Force client retries with an aggressive retry timeout and a lossy
-  // network; the applied history must never mutate a (client, seq) twice.
-  auto opts = TestWorldOptions(3);
-  opts.net.drop_probability = 0.05;
-  World w(opts);
-  harness::SafetyChecker checker(w);
-  checker.AttachPeriodic();
-  auto c = w.CreateCluster(3);
-  ASSERT_TRUE(w.WaitForLeader(c));
-  Router router;
-  router.SetClusters({Router::Entry{c, KeyRange::Full()}});
-  ClientOptions copts;
-  copts.retry_timeout = 100 * kMillisecond;
-  copts.key_space = 50;  // hot keys: overwrites expose double-apply bugs
-  ClientFleet fleet(w, router, 8, copts);
-  fleet.Start();
-  w.RunFor(5 * kSecond);
-  fleet.Stop();
-  w.net().set_drop_probability(0);
-  ExpectConverged(w, c, 10 * kSecond);
-  checker.Observe();
-  ASSERT_TRUE(checker.ok()) << checker.Report();
-  // Replaying the committed history with dedup yields exactly the live
-  // store's contents — retried commands applied at most once.
-  harness::KvHistoryChecker kv_checker;
-  auto it = checker.applied_kv().find(w.node(c[0]).cluster_uid());
-  ASSERT_NE(it, checker.applied_kv().end());
-  auto diffs = kv_checker.CompareStore(it->second, harness::KvStoreOf(w.node(c[0])));
-  EXPECT_TRUE(diffs.empty()) << diffs.front();
+  // network; the applied history must never mutate a (client, seq) twice,
+  // and no acknowledged write may be lost.
+  struct Input {
+    size_t batch_size;
+    uint64_t key_space;
+  };
+  const Input inputs[] = {
+      {1, 50},         // hot keys: overwrites expose double-apply bugs
+      {4, 10000000},   // pipelined rounds over unique keys expose lost acks
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE("batch " + std::to_string(in.batch_size) + ", key space " +
+                 std::to_string(in.key_space));
+    auto opts = TestWorldOptions(3);
+    opts.net.drop_probability = 0.05;
+    World w(opts);
+    harness::SafetyChecker checker(w);
+    checker.AttachPeriodic();
+    auto c = w.CreateCluster(3);
+    ASSERT_TRUE(w.WaitForLeader(c));
+    Router router;
+    router.SetClusters({Router::Entry{c, KeyRange::Full()}});
+    ClientOptions copts;
+    copts.retry_timeout = 100 * kMillisecond;
+    copts.key_space = in.key_space;
+    copts.batch_size = in.batch_size;
+    std::set<std::string> acked;  // every op is a put
+    copts.on_op_complete = [&acked](const std::string& key, TimePoint) {
+      acked.insert(key);
+    };
+    ClientFleet fleet(w, router, 8, copts);
+    fleet.Start();
+    w.RunFor(5 * kSecond);
+    fleet.Stop();
+    w.net().set_drop_probability(0);
+    ExpectConverged(w, c, 10 * kSecond);
+    checker.Observe();
+    ASSERT_TRUE(checker.ok()) << checker.Report();
+    // Replaying the committed history with dedup yields exactly the live
+    // store's contents — retried commands applied at most once.
+    harness::KvHistoryChecker kv_checker;
+    auto it = checker.applied_kv().find(w.node(c[0]).cluster_uid());
+    ASSERT_NE(it, checker.applied_kv().end());
+    auto diffs =
+        kv_checker.CompareStore(it->second, harness::KvStoreOf(w.node(c[0])));
+    EXPECT_TRUE(diffs.empty()) << diffs.front();
+    // The replay shares the store's dedup, so it cannot see a put that was
+    // acknowledged with another command's cached result: every key the
+    // clients saw acknowledged must be present on every replica.
+    ASSERT_FALSE(acked.empty());
+    for (NodeId id : c) {
+      const kv::Store& store = harness::KvStoreOf(w.node(id));
+      size_t missing = 0;
+      for (const std::string& key : acked) {
+        if (!store.Get(key).ok()) ++missing;
+      }
+      EXPECT_EQ(missing, 0u) << "node " << id << " lacks " << missing << " of "
+                             << acked.size() << " acknowledged keys";
+    }
+  }
 }
 
 TEST(Workload, HistoryConsistentAcrossSplit) {
